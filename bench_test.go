@@ -162,7 +162,7 @@ func runScheduler(b *testing.B, p *core.Problem, s core.Scheduler, metric string
 	b.Helper()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func BenchmarkRuntimeStage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Execute(st, plan); err != nil {
+		if _, _, _, err := core.ExecuteSpec(st, plan, false, nil, nil, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,7 +32,7 @@ func smallProblem(t *testing.T, diskSpace int64) *core.Problem {
 func TestRunUnlimitedDisk(t *testing.T) {
 	p := smallProblem(t, 0)
 	for _, s := range schedulers() {
-		res, err := core.RunChecked(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -64,7 +64,7 @@ func TestRunLimitedDiskForcesSubBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range schedulers() {
-		res, err := core.RunChecked(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -81,7 +81,7 @@ func TestRunDisableReplication(t *testing.T) {
 	p := smallProblem(t, 0)
 	p.DisableReplication = true
 	for _, s := range schedulers() {
-		res, err := core.RunChecked(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -104,11 +104,11 @@ func TestReplicationReducesMakespanOnSlowStorage(t *testing.T) {
 	with := &core.Problem{Batch: b, Platform: pf}
 	without := &core.Problem{Batch: b, Platform: pf, DisableReplication: true}
 	s := bipart.New(5)
-	rw, err := core.RunChecked(with, s)
+	rw, err := core.RunWith(with, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rwo, err := core.RunChecked(without, s)
+	rwo, err := core.RunWith(without, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}

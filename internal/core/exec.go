@@ -79,7 +79,7 @@ func (s *ExecStats) Add(o *ExecStats) {
 	s.SpecWastedSeconds += o.SpecWastedSeconds
 }
 
-// Execute runs one sub-batch plan through the §6 runtime stage:
+// ExecuteSpec runs one sub-batch plan through the §6 runtime stage:
 // tasks within each node group are ordered by earliest completion
 // time; each missing input file is staged from the source giving the
 // minimum transfer completion time (or from the source the pinned IP
@@ -87,64 +87,36 @@ func (s *ExecStats) Add(o *ExecStats) {
 // and — on platforms with one — the shared inter-cluster link.
 // Transfers and execution on a compute node serialize on its single
 // port (the paper's single-port model; no staging overlaps execution
-// on the same node). Execute mutates st: staged files are recorded in
-// the disk cache, task completion is marked, and the state clock
+// on the same node). ExecuteSpec mutates st: staged files are recorded
+// in the disk cache, task completion is marked, and the state clock
 // advances by the sub-batch makespan.
-func Execute(st *State, plan *SubPlan) (*ExecStats, error) {
-	stats, _, err := ExecuteObserved(st, plan, false, obs.Nop)
-	return stats, err
-}
-
-// ExecuteTraced is Execute plus a full gantt.Schedule record of what
-// was committed — every port timeline, staging event and task
-// execution — so callers can run gantt's post-hoc invariant checker
-// (no port overlap, disk capacity respected, inputs staged before
-// start) against the exact schedule the runtime stage produced.
-func ExecuteTraced(st *State, plan *SubPlan) (*ExecStats, *gantt.Schedule, error) {
-	return ExecuteObserved(st, plan, true, obs.Nop)
-}
-
-// ExecuteObserved is the general runtime-stage entry point: traced
-// selects the gantt.Schedule record (nil otherwise), and tr receives
-// one simulated-time span per committed port reservation — remote
-// transfers on the storage/compute/link tracks, replica transfers on
-// both compute tracks, task executions on their node's track — with
-// absolute batch timestamps. Observation never alters the schedule.
-func ExecuteObserved(st *State, plan *SubPlan, traced bool, tr obs.Tracer) (*ExecStats, *gantt.Schedule, error) {
-	e, err := newExecutor(st, plan, traced, tr, nil, 0, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats, err := e.run()
-	if err != nil {
-		return nil, nil, err
-	}
-	return stats, e.trace, nil
-}
-
-// ExecuteFaulty is ExecuteObserved under a deterministic fault
-// injector: transfer attempts may fail and retry with capped
-// exponential backoff (preferring a surviving replica source over the
-// storage cluster), node crashes interrupt work and drop disk caches
-// at the sub-batch boundary, and stragglers stretch executions. round
-// is the sub-batch ordinal, part of every failure's hashed identity.
-// Tasks whose in-sub-batch recovery exhausted its budget are returned
-// in requeued — still pending, for the caller to re-plan. A nil
-// injector makes this identical to ExecuteObserved.
-func ExecuteFaulty(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faults.Injector, round int) (*ExecStats, *gantt.Schedule, []batch.TaskID, error) {
-	return ExecuteSpec(st, plan, traced, tr, inj, round, nil)
-}
-
-// ExecuteSpec is ExecuteFaulty plus a speculative-execution policy:
-// when a committed task's stretched execution would run past the
-// policy's elapsed-time threshold (the watchdog), a duplicate attempt
-// is forked on the best other compute node — preferring nodes whose
-// disks already cache the inputs, falling back to the cheapest
-// staging — the first finisher wins, and the loser is cancelled
-// deterministically (tag-3 burns for its occupied port time,
-// in-flight stagings rolled back through State). A nil or inactive
-// policy, or a nil injector, takes the exact ExecuteFaulty code
-// paths.
+//
+// traced selects a full gantt.Schedule record of what was committed —
+// every port timeline, staging event and task execution — so callers
+// can run gantt's post-hoc invariant checker against the exact
+// schedule the runtime stage produced (nil otherwise). tr (nil for
+// none) receives one simulated-time span per committed port
+// reservation with absolute batch timestamps. Observation never
+// alters the schedule.
+//
+// A non-nil inj injects deterministic faults: transfer attempts may
+// fail and retry with capped exponential backoff (preferring a
+// surviving replica source over the storage cluster), node crashes
+// interrupt work and drop disk caches at the sub-batch boundary, and
+// stragglers stretch executions. round is the sub-batch ordinal, part
+// of every failure's hashed identity. Tasks whose in-sub-batch
+// recovery exhausted its budget are returned in requeued — still
+// pending, for the caller to re-plan.
+//
+// An active pol (with a non-nil inj) adds speculative execution: when
+// a committed task's stretched execution would run past the policy's
+// elapsed-time threshold (the watchdog), a duplicate attempt is forked
+// on the best other compute node — preferring nodes whose disks
+// already cache the inputs, falling back to the cheapest staging — the
+// first finisher wins, and the loser is cancelled deterministically
+// (tag-3 burns for its occupied port time, in-flight stagings rolled
+// back through State). A nil inj or an inactive pol takes the exact
+// fault-free or non-speculative code paths.
 func ExecuteSpec(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faults.Injector, round int, pol *spec.Policy) (*ExecStats, *gantt.Schedule, []batch.TaskID, error) {
 	e, err := newExecutor(st, plan, traced, tr, inj, round, pol)
 	if err != nil {

@@ -19,6 +19,13 @@ func twoNodeProblem(t *testing.T, b *batch.Batch) *Problem {
 	return p
 }
 
+// execute runs one sub-batch through ExecuteSpec fault-free, untraced
+// and unobserved.
+func execute(st *State, plan *SubPlan) (*ExecStats, error) {
+	stats, _, _, err := ExecuteSpec(st, plan, false, nil, nil, 0, nil)
+	return stats, err
+}
+
 func TestExecuteSingleTaskTiming(t *testing.T) {
 	b := batch.New()
 	f := b.AddFile("f", 10*platform.MB, 0)
@@ -29,7 +36,7 @@ func TestExecuteSingleTaskTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}
-	stats, err := Execute(st, plan)
+	stats, err := execute(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +75,7 @@ func TestExecutePrefersReplicaSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}
-	stats, err := Execute(st, plan)
+	stats, err := execute(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,7 @@ func TestExecutePinnedPlanFollowsSources(t *testing.T) {
 			{File: f, Dest: 0, Kind: Replica, Src: 1},
 		},
 	}
-	stats, err := Execute(st, plan)
+	stats, err := execute(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +138,7 @@ func TestExecutePinnedCycleFallsBack(t *testing.T) {
 			{File: f, Dest: 1, Kind: Replica, Src: 0},
 		},
 	}
-	stats, err := Execute(st, plan)
+	stats, err := execute(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +166,7 @@ func TestExecuteDiskCapacityViolationSurfaces(t *testing.T) {
 	}
 	// A buggy plan placing both tasks (120 MB) on the 100 MB node.
 	plan := &SubPlan{Tasks: []batch.TaskID{t0, t1}, Node: map[batch.TaskID]int{t0: 0, t1: 0}}
-	if _, err := Execute(st, plan); err == nil {
+	if _, err := execute(st, plan); err == nil {
 		t.Fatal("capacity violation not reported")
 	}
 }
@@ -180,7 +187,7 @@ func TestExecuteSharedFileTransferredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Execute(st, &SubPlan{Tasks: ts, Node: node})
+	stats, err := execute(st, &SubPlan{Tasks: ts, Node: node})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +217,7 @@ func TestExecuteNoStagingDuringExecutionOnNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Execute(st, &SubPlan{Tasks: []batch.TaskID{t0, t1}, Node: map[batch.TaskID]int{t0: 0, t1: 0}})
+	stats, err := execute(st, &SubPlan{Tasks: []batch.TaskID{t0, t1}, Node: map[batch.TaskID]int{t0: 0, t1: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

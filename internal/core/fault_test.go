@@ -89,7 +89,7 @@ func TestChaosRecoversThroughRetries(t *testing.T) {
 func TestChaosCrashRecovery(t *testing.T) {
 	p := smallProblem(t, 0)
 	s := schedulers()[0]
-	base, err := core.Run(p, s)
+	base, err := core.RunWith(p, s, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestRunFromSkipsDoneAndDuplicates(t *testing.T) {
 	dirty := make([]batch.TaskID, 0, 2*len(all))
 	dirty = append(dirty, all...)  // includes the 3 done tasks
 	dirty = append(dirty, rest...) // and every remaining task twice
-	got, err := core.RunFrom(stDirty, s, dirty)
+	got, err := core.RunFromWith(stDirty, s, dirty, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.RunFrom(stClean, s, rest)
+	want, err := core.RunFromWith(stClean, s, rest, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,9 +83,9 @@ func (r *Result) SchedulingMSPerTask() float64 {
 
 // Observer bundles the optional observability sinks for a run. The
 // zero value observes nothing at zero cost. Observation is write-only:
-// neither sink ever feeds information back into scheduling, so an
+// no sink ever feeds information back into scheduling, so an
 // observed run commits exactly the schedule an unobserved one does
-// (pinned by TestObservedRunsMatchUnobserved).
+// (pinned by TestObservedRunIdenticalToPlain).
 type Observer struct {
 	// Trace receives spans and instant events from every pipeline
 	// phase; nil means no tracing.
@@ -103,11 +103,19 @@ type Observer struct {
 
 // RunOptions bundles the optional behaviors of a run: post-hoc
 // schedule validation, observability sinks, and fault injection. The
-// zero value reproduces plain Run exactly.
+// zero value runs the plain pipeline: unvalidated, unobserved and
+// fault-free.
 type RunOptions struct {
-	// Checked enables the gantt schedule validator per sub-batch.
+	// Checked enables the gantt schedule validator: every sub-batch's
+	// committed schedule is re-checked post hoc (no port reservation
+	// overlap, disk capacity never exceeded, every input file staged
+	// before its task starts) and any violation aborts the run with an
+	// error naming it. Tests set it so that scheduler bugs surface as
+	// invariant violations instead of silently wrong makespans; it
+	// costs one event record per transfer/task, so production paths
+	// leave it off.
 	Checked bool
-	// Obs attaches tracing/metrics sinks.
+	// Obs attaches tracing/metrics/journal sinks.
 	Obs Observer
 	// Faults, when non-nil and enabled, injects the scenario's crash,
 	// transfer-failure and straggler events and activates the recovery
@@ -122,78 +130,27 @@ type RunOptions struct {
 	Spec *spec.Policy
 }
 
-// RunWith is Run with explicit options.
+// RunWith executes the complete three-stage pipeline of the paper on a
+// fresh cluster state: the scheduler repeatedly selects and maps a
+// sub-batch of the pending tasks (stages 1–2), the §6 runtime stage
+// executes it on the simulated platform (stage 3), and the scheduler's
+// eviction policy frees compute-cluster disk before the next round.
+// RunWith returns the accumulated result once every task has executed
+// (or, under fault injection, been abandoned).
 func RunWith(p *Problem, s Scheduler, opt RunOptions) (*Result, error) {
 	st, err := NewState(p)
 	if err != nil {
 		return nil, err
 	}
-	return runFrom(st, s, p.Batch.AllTasks(), opt)
+	return RunFromWith(st, s, p.Batch.AllTasks(), opt)
 }
 
-// RunFromWith is RunFrom with explicit options.
-func RunFromWith(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*Result, error) {
-	return runFrom(st, s, pending, opt)
-}
-
-// Run executes the complete three-stage pipeline of the paper: the
-// scheduler repeatedly selects and maps a sub-batch of the pending
-// tasks (stages 1–2), the §6 runtime stage executes it on the
-// simulated platform (stage 3), and the scheduler's eviction policy
-// frees compute-cluster disk before the next round. Run returns the
-// accumulated result once every task has executed.
-func Run(p *Problem, s Scheduler) (*Result, error) {
-	st, err := NewState(p)
-	if err != nil {
-		return nil, err
-	}
-	return RunFrom(st, s, p.Batch.AllTasks())
-}
-
-// RunObserved is Run with an Observer attached: the tracer records
-// every pipeline phase (plan, execute, evict, plus the simulated
-// transfer/task reservations) and the metrics registry accumulates
-// phase latencies and transfer totals. The committed schedule is
-// identical to Run's.
-func RunObserved(p *Problem, s Scheduler, ob Observer) (*Result, error) {
-	st, err := NewState(p)
-	if err != nil {
-		return nil, err
-	}
-	return runFrom(st, s, p.Batch.AllTasks(), RunOptions{Obs: ob})
-}
-
-// RunChecked is Run with the gantt schedule validator enabled: every
-// sub-batch's committed schedule is re-checked post hoc (no port
-// reservation overlap, disk capacity never exceeded, every input file
-// staged before its task starts) and any violation aborts the run with
-// an error naming it. Tests use this so that scheduler bugs surface as
-// invariant violations instead of silently wrong makespans; it costs
-// one event record per transfer/task, so production paths stick to
-// Run.
-func RunChecked(p *Problem, s Scheduler) (*Result, error) {
-	st, err := NewState(p)
-	if err != nil {
-		return nil, err
-	}
-	return RunFromChecked(st, s, p.Batch.AllTasks())
-}
-
-// RunFrom is Run starting from an existing cluster state and an
-// explicit pending-task set, allowing callers to chain batches over a
-// warm disk cache. Task IDs already completed in st, and duplicate
+// RunFromWith is RunWith starting from an existing cluster state and
+// an explicit pending-task set, allowing callers to chain batches over
+// a warm disk cache. Task IDs already completed in st, and duplicate
 // IDs, are skipped rather than double-executed — recovery re-queueing
 // feeds this path and hand-built resume lists may contain both.
-func RunFrom(st *State, s Scheduler, pending []batch.TaskID) (*Result, error) {
-	return runFrom(st, s, pending, RunOptions{})
-}
-
-// RunFromChecked is RunFrom with the gantt schedule validator enabled.
-func RunFromChecked(st *State, s Scheduler, pending []batch.TaskID) (*Result, error) {
-	return runFrom(st, s, pending, RunOptions{Checked: true})
-}
-
-func runFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*Result, error) {
+func RunFromWith(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*Result, error) {
 	if err := opt.Faults.Validate(); err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@
 // Determinism contract: observation is strictly write-only — nothing
 // in this package feeds information back into placement decisions, so
 // an instrumented run produces the same schedule as an uninstrumented
-// one (pinned by TestObservedRunsMatchUnobserved). Two clock domains
+// one (pinned by TestObservedRunIdenticalToPlain). Two clock domains
 // are kept apart: DomainSim events carry simulated timestamps supplied
 // by the caller and are a pure function of the schedule, while
 // DomainReal spans read the wall clock — but only inside this package,

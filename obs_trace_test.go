@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/journal"
 	"repro/internal/platform"
 	"repro/internal/sched/bipart"
 	"repro/internal/sched/ipsched"
@@ -82,7 +83,7 @@ func TestTraceGolden(t *testing.T) {
 				sched = ss.sched
 			}
 		}
-		if _, err := core.RunObserved(traceProblem(t), sched, core.Observer{Trace: tr}); err != nil {
+		if _, err := core.RunWith(traceProblem(t), sched, core.RunOptions{Obs: core.Observer{Trace: tr}}); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		var buf bytes.Buffer
@@ -110,24 +111,27 @@ func TestTraceGolden(t *testing.T) {
 }
 
 // TestObservedRunIdenticalToPlain is the determinism-preservation gate
-// of the observability layer: a fully instrumented run (tracer +
-// metrics on every hook) must produce the same Result as a plain one.
-// Observation is write-only by construction; this test keeps it so.
+// of the observability layer: a fully instrumented run (tracer,
+// metrics and journal on every hook) must produce the same Result as a
+// plain one. Observation is write-only by construction; this test
+// keeps it so.
 func TestObservedRunIdenticalToPlain(t *testing.T) {
 	for _, plain := range traceSchedulers(nil) {
-		res0, err := core.Run(traceProblem(t), plain.sched)
+		res0, err := core.RunWith(traceProblem(t), plain.sched, core.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: plain: %v", plain.name, err)
 		}
 		tr := obs.New()
 		met := obs.NewMetrics()
+		rec := journal.New()
 		var sched core.Scheduler
 		for _, ss := range traceSchedulers(tr) {
 			if ss.name == plain.name {
 				sched = ss.sched
 			}
 		}
-		res1, err := core.RunObserved(traceProblem(t), sched, core.Observer{Trace: tr, Metrics: met})
+		res1, err := core.RunWith(traceProblem(t), sched, core.RunOptions{
+			Obs: core.Observer{Trace: tr, Metrics: met, Journal: rec}})
 		if err != nil {
 			t.Fatalf("%s: observed: %v", plain.name, err)
 		}
@@ -135,6 +139,9 @@ func TestObservedRunIdenticalToPlain(t *testing.T) {
 		if met.Snapshot().Counters["core.tasks"] != int64(res1.TaskCount) {
 			t.Errorf("%s: metrics saw %d tasks, result has %d", plain.name,
 				met.Snapshot().Counters["core.tasks"], res1.TaskCount)
+		}
+		if rec.Len() == 0 {
+			t.Errorf("%s: journal recorded no events", plain.name)
 		}
 	}
 }
