@@ -1483,6 +1483,10 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 		e.computeTL[best].Reserve(bp.execStart, twinStop-bp.execStart, tagFault)
 		waste += twinStop - bp.execStart
 		startedAny = true
+		if e.tr.Enabled() {
+			e.tr.SimSpan(obs.ComputeTrack(best), "fault", "cancelled twin of task "+strconv.Itoa(int(t)),
+				b+bp.execStart, b+twinStop, obs.A("task", int(t)), obs.A("node", best))
+		}
 	}
 	e.stats.SpecWastedSeconds += waste
 	if startedAny {

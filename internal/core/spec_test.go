@@ -2,12 +2,16 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/platform"
 	"repro/internal/sched/minmin"
@@ -50,9 +54,16 @@ func specPlan(t *testing.T, seed int64) *faults.FaultPlan {
 
 func specRun(t *testing.T, p *core.Problem, fp *faults.FaultPlan, pol *spec.Policy) (*core.Result, []journal.Event, []byte) {
 	t.Helper()
+	return specRunTraced(t, p, fp, pol, nil)
+}
+
+// specRunTraced is specRun with tr (nil for none) attached as the
+// run's tracer.
+func specRunTraced(t *testing.T, p *core.Problem, fp *faults.FaultPlan, pol *spec.Policy, tr obs.Tracer) (*core.Result, []journal.Event, []byte) {
+	t.Helper()
 	rec := journal.New()
 	res, err := core.RunWith(p, minmin.New(), core.RunOptions{Checked: true, Faults: fp,
-		Spec: pol, Obs: core.Observer{Journal: rec}})
+		Spec: pol, Obs: core.Observer{Journal: rec, Trace: tr}})
 	if err != nil {
 		t.Fatalf("spec run failed (plan %s): %v", fp, err)
 	}
@@ -92,16 +103,23 @@ func TestSpecNeverMatchesNil(t *testing.T) {
 //     retry budget;
 //   - rescue semantics: a crash-killed primary whose twin finished
 //     (spec_win with primary_end < 0) produces no requeue at all;
+//   - visible burns: when both attempts die after the twin started
+//     executing, the trace shows the twin's burnt exec window as a
+//     "cancelled twin of task N" span, as the primary-wins outcome does;
 //   - coverage: the grid must actually visit all three race outcomes,
-//     so none of the assertions above hold vacuously.
+//     and a both-die outcome with a started twin, so none of the
+//     assertions above hold vacuously.
 func TestSpecRaceOutcomes(t *testing.T) {
 	p := specProblem(t)
 	pol := &spec.Policy{Kind: spec.SingleFork, Quantile: 0.86}
 	outcomes := map[string]int{}
 	totalWasted := 0.0
+	bothDieExecBurns := 0
 	for seed := int64(1); seed <= 120; seed++ {
 		fp := specPlan(t, seed)
-		res, events, _ := specRun(t, p, fp, pol)
+		tr := obs.NewSimOnly()
+		res, events, _ := specRunTraced(t, p, fp, pol, tr)
+		spans := simSpans(t, tr)
 
 		launches, wins, cancels := 0, 0, 0
 		rescued := map[int]bool{}    // task → twin finished after primary crash
@@ -126,6 +144,9 @@ func TestSpecRaceOutcomes(t *testing.T) {
 				outcomes[ev.Spec.Winner]++
 				if ev.Spec.Winner == "none" {
 					caseC[[2]int{ev.Round, ev.Spec.Task}] = true
+					if twinExecBurnt(t, spans, ev) {
+						bothDieExecBurns++
+					}
 				}
 			case journal.KindFault:
 				if ev.Fault.Class == journal.FaultRequeue && ev.Fault.Task >= 0 {
@@ -173,6 +194,70 @@ func TestSpecRaceOutcomes(t *testing.T) {
 	if totalWasted <= 0 {
 		t.Fatal("speculation cancelled losers across the grid yet burnt no port time")
 	}
+	if bothDieExecBurns == 0 {
+		t.Fatal("no both-die outcome with a started twin execution occurred over the seed grid")
+	}
+}
+
+// simSpan is one complete ("X") event of a Chrome trace export.
+type simSpan struct {
+	Name  string  `json:"name"`
+	Phase string  `json:"ph"`
+	TS    float64 `json:"ts"`
+	Dur   float64 `json:"dur"`
+	TID   int     `json:"tid"`
+}
+
+func simSpans(t *testing.T, tr *obs.Trace) []simSpan {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []simSpan `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var out []simSpan
+	for _, ev := range doc.TraceEvents {
+		if ev.Phase == "X" {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// twinExecBurnt checks the trace for a both-die cancellation ev and
+// reports whether the twin had started executing. The twin's
+// transfers all land on its own port before its execution starts, so
+// at the cancel time either one transfer is in flight (burnt and shown
+// as a "cancelled spec stage file" span) or the execution has started
+// and all of ev's wasted time is its exec window, which must then show
+// as a "cancelled twin of task N" span ending at the cancel time.
+func twinExecBurnt(t *testing.T, spans []simSpan, ev journal.Event) bool {
+	t.Helper()
+	if ev.Spec.WastedS <= 0 {
+		return false
+	}
+	endsAtCancel := func(s simSpan) bool {
+		return s.TID == obs.ComputeTrack(ev.Spec.Twin) && math.Abs(s.TS+s.Dur-ev.T*1e6) < 1e-3
+	}
+	for _, s := range spans {
+		if endsAtCancel(s) && strings.HasPrefix(s.Name, "cancelled spec stage file ") {
+			return false
+		}
+	}
+	want := fmt.Sprintf("cancelled twin of task %d", ev.Spec.Task)
+	for _, s := range spans {
+		if endsAtCancel(s) && s.Name == want && math.Abs(s.Dur-ev.Spec.WastedS*1e6) < 1e-3 {
+			return true
+		}
+	}
+	t.Fatalf("round %d: twin of task %d on node %d burnt %gs of execution when both attempts died, but the trace has no %q span",
+		ev.Round, ev.Spec.Task, ev.Spec.Twin, ev.Spec.WastedS, want)
+	return false
 }
 
 // TestSpecDeterministicReplay: a speculative run is a pure function of
