@@ -80,16 +80,19 @@ func (s *ExecStats) Add(o *ExecStats) {
 }
 
 // ExecuteSpec runs one sub-batch plan through the §6 runtime stage:
-// tasks within each node group are ordered by earliest completion
-// time; each missing input file is staged from the source giving the
-// minimum transfer completion time (or from the source the pinned IP
-// plan dictates), reserving slots on the source port, destination port
-// and — on platforms with one — the shared inter-cluster link.
-// Transfers and execution on a compute node serialize on its single
-// port (the paper's single-port model; no staging overlaps execution
-// on the same node). ExecuteSpec mutates st: staged files are recorded
-// in the disk cache, task completion is marked, and the state clock
-// advances by the sub-batch makespan.
+// tasks commit in earliest-completion-time order from one heap over
+// the whole sub-batch (a commit on a node re-evaluates only the cached
+// ECTs of tasks mapped to that node, and a re-evaluated task within 1%
+// of the heap's best commits without going back in); each missing
+// input file is staged from the source giving the minimum transfer
+// completion time (or from the source the pinned IP plan dictates),
+// reserving slots on the source port, destination port and — on
+// platforms with one — the shared inter-cluster link. Transfers and
+// execution on a compute node serialize on its single port (the
+// paper's single-port model; no staging overlaps execution on the same
+// node). ExecuteSpec mutates st: staged files are recorded in the disk
+// cache, task completion is marked, and the state clock advances by
+// the sub-batch makespan.
 //
 // traced selects a full gantt.Schedule record of what was committed —
 // every port timeline, staging event and task execution — so callers
@@ -178,8 +181,9 @@ type executor struct {
 	// between uses instead of reallocated (the probe loop runs millions
 	// of times at scale).
 	tentEnv *schedEnv
-	// remainingBuf backs scheduleTask's missing-file worklist across
-	// calls.
+	// remainingBuf backs stageInputs's missing-file worklist across
+	// calls. A twin is planned only after its primary's inputs are
+	// staged, so the two never hold it at once.
 	remainingBuf []batch.FileID
 
 	planned map[stageKey]Staging
@@ -211,9 +215,6 @@ type executor struct {
 	// injection, the attempt number of the transfer being committed.
 	curTask    int
 	curAttempt int
-	// specCause, when non-empty, overrides the journaled cause of
-	// committed transfers (the twin-commit path sets it to "spec").
-	specCause string
 
 	// pol is the speculative-execution policy; nil or inactive (and
 	// any run without an injector) takes the exact pre-speculation
@@ -343,10 +344,9 @@ type schedEnv struct {
 	// record, when non-nil, captures each tentatively scheduled
 	// transfer so the twin-commit path can replay the exact slots.
 	record *[]specOp
-	// remoteRes is the scratch buffer remoteResources hands to
-	// multiSlot, reused across the millions of source probes a large
-	// batch issues.
-	remoteRes []gantt.SlotSearcher
+	// twin marks the commit env that replays a speculative twin's
+	// transfers; their stagings journal with cause "spec".
+	twin bool
 	// dynamicOnly forces dynamic (min-TCT) source choice even under a
 	// pinned plan: twin staging is not part of the IP plan, and
 	// single-hop dynamic transfers keep the recorded ops replayable.
@@ -399,38 +399,71 @@ func (v *schedEnv) availOn(n int, f batch.FileID) (float64, bool) {
 func (v *schedEnv) setAvail(n int, f batch.FileID, at float64) {
 	if v.commit {
 		if v.e.avail[n][f] < 0 {
-			v.e.addHolder(f, n)
+			v.e.holders[f] = insertAscending(v.e.holders[f], n)
 		}
 		v.e.avail[n][f] = at
 		return
 	}
 	key := stageKey{f, n}
 	if _, ok := v.scratch[key]; !ok {
-		lst := v.scratchByFile[f]
-		i := sort.Search(len(lst), func(i int) bool { return lst[i] >= int32(n) })
-		lst = append(lst, 0)
-		copy(lst[i+1:], lst[i:])
-		lst[i] = int32(n)
-		v.scratchByFile[f] = lst
+		v.scratchByFile[f] = insertAscending(v.scratchByFile[f], n)
 	}
 	v.scratch[key] = at
 }
 
-// addHolder records node n as a committed holder of f, preserving the
-// ascending order of the per-file list.
-func (e *executor) addHolder(f batch.FileID, n int) {
-	lst := e.holders[f]
+// insertAscending inserts node n into the ascending node list lst.
+func insertAscending(lst []int32, n int) []int32 {
 	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= int32(n) })
 	lst = append(lst, 0)
 	copy(lst[i+1:], lst[i:])
 	lst[i] = int32(n)
-	e.holders[f] = lst
+	return lst
+}
+
+// holderIter walks the nodes that hold a file or, in a tentative env,
+// are scheduled to receive it: the merge of the two ascending lists
+// executor.holders and schedEnv.scratchByFile. Visiting in ascending
+// node order keeps every tie-break and journal entry exactly those of
+// a filtered 0..C-1 scan. It is a plain value with an inlinable next
+// because source selection spends most of the executor's time in this
+// walk.
+type holderIter struct {
+	hs, ts []int32
+}
+
+func (v *schedEnv) holdersOf(f batch.FileID) holderIter {
+	it := holderIter{hs: v.e.holders[f]}
+	if !v.commit {
+		it.ts = v.scratchByFile[f]
+	}
+	return it
+}
+
+// next returns the next node of the walk, or -1 once it is done.
+func (it *holderIter) next() int {
+	if len(it.hs) > 0 && (len(it.ts) == 0 || it.hs[0] <= it.ts[0]) {
+		j := it.hs[0]
+		it.hs = it.hs[1:]
+		return int(j)
+	}
+	if len(it.ts) > 0 {
+		j := it.ts[0]
+		it.ts = it.ts[1:]
+		return int(j)
+	}
+	return -1
 }
 
 func (v *schedEnv) searcher(tl *gantt.Timeline) gantt.SlotSearcher {
 	if v.commit {
 		return tl
 	}
+	return v.overlay(tl)
+}
+
+// overlay returns the tentative env's overlay of tl, creating it on
+// first use.
+func (v *schedEnv) overlay(tl *gantt.Timeline) *gantt.Overlay {
 	ov, ok := v.overlays[tl]
 	if !ok {
 		ov = gantt.NewOverlay(tl)
@@ -444,11 +477,7 @@ func (v *schedEnv) reserve(tl *gantt.Timeline, start, dur float64, tag int32) {
 		tl.Reserve(start, dur, tag)
 		return
 	}
-	ov, ok := v.overlays[tl]
-	if !ok {
-		ov = gantt.NewOverlay(tl)
-		v.overlays[tl] = ov
-	}
+	ov := v.overlay(tl)
 	if ov.TentativeLen() == 0 {
 		v.dirty = append(v.dirty, ov)
 	}
@@ -468,7 +497,7 @@ func (v *schedEnv) ensureFile(f batch.FileID, dst int) (float64, error) {
 	if v.visiting[key] {
 		// Replication cycle in a pinned plan; break it with a remote
 		// transfer.
-		return v.remoteTransfer(f, dst)
+		return v.transfer(f, -1, dst, 0)
 	}
 	v.visiting[key] = true
 	defer delete(v.visiting, key)
@@ -476,13 +505,13 @@ func (v *schedEnv) ensureFile(f batch.FileID, dst int) (float64, error) {
 	if v.e.plan.Pinned && !v.dynamicOnly {
 		if op, ok := v.e.planned[key]; ok {
 			if op.Kind == Remote || v.e.st.P.DisableReplication {
-				return v.remoteTransfer(f, dst)
+				return v.transfer(f, -1, dst, 0)
 			}
 			srcAt, err := v.ensureFile(f, op.Src)
 			if err != nil {
 				return 0, err
 			}
-			return v.replicaTransfer(f, op.Src, dst, srcAt)
+			return v.transfer(f, op.Src, dst, srcAt)
 		}
 		// No planned movement for a file a task needs here: the plan is
 		// incomplete (should not happen for IP-feasible plans); fall
@@ -492,52 +521,29 @@ func (v *schedEnv) ensureFile(f batch.FileID, dst int) (float64, error) {
 	// Dynamic choice: min transfer completion time over the remote
 	// source and every node already holding (or scheduled to receive)
 	// the file.
-	bestSrc, _, _ := v.bestSource(f, dst)
-	if bestSrc < 0 {
-		return v.remoteTransfer(f, dst)
-	}
-	srcAt, _ := v.availOn(bestSrc, f)
-	return v.replicaTransfer(f, bestSrc, dst, srcAt)
+	src, srcAt, _ := v.bestSource(f, dst)
+	return v.transfer(f, src, dst, srcAt)
 }
 
 // bestSource evaluates every possible source of file f for node dst
 // against the current Gantt view and returns the one with minimum
-// transfer completion time (src = -1 means remote from the file's
-// storage home), without reserving anything.
-func (v *schedEnv) bestSource(f batch.FileID, dst int) (src int, start, tct float64) {
-	pf := v.e.st.P.Platform
-	home := v.e.st.P.Batch.Files[f].Home
-	size := v.e.st.P.Batch.FileSize(f)
-	src = -1
-	dur := float64(size) / pf.RemoteBW(home, dst)
-	start = v.multiSlot(0, dur, v.remoteResources(home, dst)...)
-	tct = start + dur
+// transfer completion time tct, with the time srcAt its copy is
+// available (src = -1 means remote from the file's storage home, with
+// srcAt 0), without reserving anything.
+func (v *schedEnv) bestSource(f batch.FileID, dst int) (src int, srcAt, tct float64) {
+	start, dur := v.transferSlot(f, -1, dst, 0)
+	src, tct = -1, start+dur
 	record := v.commit && v.e.st.J.Enabled()
 	if record {
 		v.alts = append(v.alts[:0], journal.SourceAlt{Src: -1, TCT: tct})
 	}
 	if v.e.st.P.DisableReplication {
-		return src, start, tct
+		return src, 0, tct
 	}
 	// Visit only the nodes that hold (or are tentatively scheduled to
-	// receive) the file, merging the two ascending holder lists so the
-	// node order — and therefore every tie-break and journal entry — is
-	// exactly the filtered 0..C-1 scan this replaces.
-	hs := v.e.holders[f]
-	var ts []int32
-	if !v.commit {
-		ts = v.scratchByFile[f]
-	}
-	hi, ti := 0, 0
-	for hi < len(hs) || ti < len(ts) {
-		var j int
-		if hi < len(hs) && (ti >= len(ts) || hs[hi] <= ts[ti]) {
-			j = int(hs[hi])
-			hi++
-		} else {
-			j = int(ts[ti])
-			ti++
-		}
+	// receive) the file.
+	it := v.holdersOf(f)
+	for j := it.next(); j >= 0; j = it.next() {
 		if j == dst {
 			continue
 		}
@@ -545,151 +551,91 @@ func (v *schedEnv) bestSource(f batch.FileID, dst int) (src int, start, tct floa
 		if !ok {
 			continue
 		}
-		rdur := float64(size) / pf.ReplicaBW(j, dst)
-		if !record && at+rdur >= tct-1e-12 {
+		if !record && at+v.e.transferDur(f, j, dst) >= tct-1e-12 {
 			// rstart ≥ at, so rtct ≥ at+rdur: this source cannot win the
 			// strict rtct < tct-1e-12 test below. Skip its slot search —
 			// unless the journal needs the exact TCT for the alts list.
 			continue
 		}
-		rstart := v.multiSlot(at, rdur, v.searcher(v.e.computeTL[j]), v.searcher(v.e.computeTL[dst]))
+		rstart, rdur := v.transferSlot(f, j, dst, at)
 		rtct := rstart + rdur
 		if record {
 			v.alts = append(v.alts, journal.SourceAlt{Src: j, TCT: rtct})
 		}
 		if rtct < tct-1e-12 {
-			src, start, tct = j, rstart, rtct
+			src, srcAt, tct = j, at, rtct
 		}
 	}
-	return src, start, tct
+	return src, srcAt, tct
 }
 
-// probeTCT returns the minimum transfer completion time for staging f
-// onto dst against the current view, without reserving.
-func (v *schedEnv) probeTCT(f batch.FileID, dst int) float64 {
-	_, _, tct := v.bestSource(f, dst)
-	return tct
-}
-
-// remoteResources returns the slot-search resources a remote staging
-// contends on. The returned slice aliases a per-env scratch buffer —
-// valid only until the next remoteResources call, which every caller
-// respects by spreading it straight into multiSlot.
-func (v *schedEnv) remoteResources(home, dst int) []gantt.SlotSearcher {
-	res := append(v.remoteRes[:0], v.searcher(v.e.storageTL[home]), v.searcher(v.e.computeTL[dst]))
-	if v.e.linkTL != nil {
-		res = append(res, v.searcher(v.e.linkTL))
+// transferDur returns how long a transfer of f onto dst from src
+// takes; src -1 means remote from the file's storage home.
+func (e *executor) transferDur(f batch.FileID, src, dst int) float64 {
+	p := e.st.P
+	size := float64(p.Batch.FileSize(f))
+	if src < 0 {
+		return size / p.Platform.RemoteBW(p.Batch.Files[f].Home, dst)
 	}
-	v.remoteRes = res
-	return res
+	return size / p.Platform.ReplicaBW(src, dst)
 }
 
-func (v *schedEnv) multiSlot(after, dur float64, res ...gantt.SlotSearcher) float64 {
+// transferPorts returns the port timelines a transfer of f onto dst
+// from src (-1: remote) occupies, in its first n entries: the source
+// port (the storage home's for a remote transfer), the destination
+// port and, for a remote transfer on a platform with one, the shared
+// wide-area link.
+func (e *executor) transferPorts(f batch.FileID, src, dst int) (ports [3]*gantt.Timeline, n int) {
+	if src >= 0 {
+		return [3]*gantt.Timeline{e.computeTL[src], e.computeTL[dst]}, 2
+	}
+	ports = [3]*gantt.Timeline{e.storageTL[e.st.P.Batch.Files[f].Home], e.computeTL[dst], e.linkTL}
+	if e.linkTL == nil {
+		return ports, 2
+	}
+	return ports, 3
+}
+
+// transferSlot returns the duration of a transfer of f onto dst from
+// src (-1: remote) and the earliest start, no earlier than after or
+// the env's floor, at which all of its ports are free that long.
+func (v *schedEnv) transferSlot(f batch.FileID, src, dst int, after float64) (start, dur float64) {
+	dur = v.e.transferDur(f, src, dst)
+	ports, n := v.e.transferPorts(f, src, dst)
+	var res [3]gantt.SlotSearcher
+	for i, tl := range ports[:n] {
+		res[i] = v.searcher(tl)
+	}
 	if after < v.floor {
 		after = v.floor
 	}
-	return gantt.MultiSlot(after, dur, res...)
+	return gantt.MultiSlot(after, dur, res[:n]...), dur
 }
 
-func (v *schedEnv) remoteTransfer(f batch.FileID, dst int) (float64, error) {
-	p := v.e.st.P
-	home := p.Batch.Files[f].Home
-	size := p.Batch.FileSize(f)
-	dur := float64(size) / p.Platform.RemoteBW(home, dst)
+// reserveTransfer books [start, start+dur) with tag on every port a
+// transfer of f onto dst from src (-1: remote) occupies.
+func (v *schedEnv) reserveTransfer(f batch.FileID, src, dst int, start, dur float64, tag int32) {
+	ports, n := v.e.transferPorts(f, src, dst)
+	for _, tl := range ports[:n] {
+		v.reserve(tl, start, dur, tag)
+	}
+}
+
+// transfer stages f onto dst from src (-1: remote from the file's
+// storage home), starting no earlier than srcAt, when the source copy
+// is available, and returns the arrival time. A tentative env only
+// books overlay time (and records the op for a twin's replay); the
+// commit path books the transfer for real, through the retry loop
+// under fault injection.
+func (v *schedEnv) transfer(f batch.FileID, src, dst int, srcAt float64) (float64, error) {
+	if v.commit && v.e.inj != nil {
+		return v.faultyTransfer(f, src, dst, srcAt)
+	}
+	start, dur := v.transferSlot(f, src, dst, srcAt)
 	if v.commit {
-		if v.e.inj != nil {
-			return v.faultyTransfer(f, -1, dst, 0)
-		}
-		start := v.multiSlot(0, dur, v.remoteResources(home, dst)...)
-		return v.commitRemote(f, home, dst, start, dur)
+		return v.commitTransfer(f, src, dst, start, dur)
 	}
-	start := v.multiSlot(0, dur, v.remoteResources(home, dst)...)
-	v.reserve(v.e.storageTL[home], start, dur, tagTransfer)
-	v.reserve(v.e.computeTL[dst], start, dur, tagTransfer)
-	if v.e.linkTL != nil {
-		v.reserve(v.e.linkTL, start, dur, tagTransfer)
-	}
-	if v.record != nil {
-		*v.record = append(*v.record, specOp{file: f, src: -1, dst: dst, start: start, dur: dur})
-	}
-	v.setAvail(dst, f, start+dur)
-	return start + dur, nil
-}
-
-// emitStage journals one committed transfer, consuming the source
-// alternatives bestSource captured for it (if any). src is -1 for
-// remote stagings.
-func (v *schedEnv) emitStage(f batch.FileID, src, dst int, kind string, start, dur float64, size int64) {
-	e := v.e
-	j := e.st.J
-	if !j.Enabled() {
-		return
-	}
-	cause := "task"
-	switch {
-	case e.specCause != "":
-		cause = e.specCause
-	case e.curTask < 0:
-		cause = "prestage"
-	case e.curAttempt > 1:
-		cause = "retry"
-	}
-	alts := v.alts
-	v.alts = nil
-	b := e.base()
-	j.Emit(journal.Event{T: b + start, Kind: journal.KindStage, Round: e.round, Stage: &journal.Stage{
-		File: int(f), Dest: dst, Src: src, Home: e.st.P.Batch.Files[f].Home, Kind: kind,
-		Start: b + start, End: b + start + dur, Bytes: size,
-		Cause: cause, Task: e.curTask, Attempt: e.curAttempt, Alternatives: alts,
-	}})
-}
-
-// commitRemote reserves and records a storage→compute staging whose
-// slot [start, start+dur) has already been found.
-func (v *schedEnv) commitRemote(f batch.FileID, home, dst int, start, dur float64) (float64, error) {
-	size := v.e.st.P.Batch.FileSize(f)
-	v.e.storageTL[home].Reserve(start, dur, tagTransfer)
-	v.e.computeTL[dst].Reserve(start, dur, tagTransfer)
-	if v.e.linkTL != nil {
-		v.e.linkTL.Reserve(start, dur, tagTransfer)
-	}
-	if err := v.e.st.AddFile(dst, f, v.e.base()+start+dur); err != nil {
-		return 0, err
-	}
-	v.e.stats.RemoteTransfers++
-	v.e.stats.RemoteBytes += size
-	if v.e.trace != nil {
-		v.e.trace.Stages = append(v.e.trace.Stages, gantt.StageEvent{File: int(f), Node: dst, Avail: start + dur, Size: size})
-	}
-	if v.e.tr.Enabled() {
-		b := v.e.base()
-		name := "stage file " + strconv.Itoa(int(f))
-		args := []obs.Arg{obs.A("file", int(f)), obs.A("bytes", size), obs.A("dst", dst)}
-		v.e.tr.SimSpan(obs.StorageTrack(home), "remote", name, b+start, b+start+dur, args...)
-		v.e.tr.SimSpan(obs.ComputeTrack(dst), "remote", name, b+start, b+start+dur, args...)
-		if v.e.linkTL != nil {
-			v.e.tr.SimSpan(obs.TrackLink, "remote", name, b+start, b+start+dur, args...)
-		}
-	}
-	v.emitStage(f, -1, dst, "remote", start, dur, size)
-	v.setAvail(dst, f, start+dur)
-	return start + dur, nil
-}
-
-func (v *schedEnv) replicaTransfer(f batch.FileID, src, dst int, srcAt float64) (float64, error) {
-	p := v.e.st.P
-	size := p.Batch.FileSize(f)
-	dur := float64(size) / p.Platform.ReplicaBW(src, dst)
-	if v.commit {
-		if v.e.inj != nil {
-			return v.faultyTransfer(f, src, dst, srcAt)
-		}
-		start := v.multiSlot(srcAt, dur, v.searcher(v.e.computeTL[src]), v.searcher(v.e.computeTL[dst]))
-		return v.commitReplica(f, src, dst, start, dur)
-	}
-	start := v.multiSlot(srcAt, dur, v.searcher(v.e.computeTL[src]), v.searcher(v.e.computeTL[dst]))
-	v.reserve(v.e.computeTL[src], start, dur, tagTransfer)
-	v.reserve(v.e.computeTL[dst], start, dur, tagTransfer)
+	v.reserveTransfer(f, src, dst, start, dur, tagTransfer)
 	if v.record != nil {
 		*v.record = append(*v.record, specOp{file: f, src: src, dst: dst, start: start, dur: dur})
 	}
@@ -697,28 +643,62 @@ func (v *schedEnv) replicaTransfer(f batch.FileID, src, dst int, srcAt float64) 
 	return start + dur, nil
 }
 
-// commitReplica reserves and records a compute→compute copy whose slot
-// [start, start+dur) has already been found.
-func (v *schedEnv) commitReplica(f batch.FileID, src, dst int, start, dur float64) (float64, error) {
-	size := v.e.st.P.Batch.FileSize(f)
-	v.e.computeTL[src].Reserve(start, dur, tagTransfer)
-	v.e.computeTL[dst].Reserve(start, dur, tagTransfer)
-	if err := v.e.st.AddFile(dst, f, v.e.base()+start+dur); err != nil {
+// commitTransfer reserves and records a transfer of f onto dst from
+// src (-1: remote) whose slot [start, start+dur) has already been
+// found. Its journal entry consumes the source alternatives
+// bestSource captured for it (if any).
+func (v *schedEnv) commitTransfer(f batch.FileID, src, dst int, start, dur float64) (float64, error) {
+	e := v.e
+	size := e.st.P.Batch.FileSize(f)
+	v.reserveTransfer(f, src, dst, start, dur, tagTransfer)
+	if err := e.st.AddFile(dst, f, e.base()+start+dur); err != nil {
 		return 0, err
 	}
-	v.e.stats.ReplicaTransfers++
-	v.e.stats.ReplicaBytes += size
-	if v.e.trace != nil {
-		v.e.trace.Stages = append(v.e.trace.Stages, gantt.StageEvent{File: int(f), Node: dst, Avail: start + dur, Size: size})
+	kind := "remote"
+	if src >= 0 {
+		kind = "replica"
+		e.stats.ReplicaTransfers++
+		e.stats.ReplicaBytes += size
+	} else {
+		e.stats.RemoteTransfers++
+		e.stats.RemoteBytes += size
 	}
-	if v.e.tr.Enabled() {
-		b := v.e.base()
-		name := "replicate file " + strconv.Itoa(int(f))
-		args := []obs.Arg{obs.A("file", int(f)), obs.A("bytes", size), obs.A("src", src), obs.A("dst", dst)}
-		v.e.tr.SimSpan(obs.ComputeTrack(src), "replica", name, b+start, b+start+dur, args...)
-		v.e.tr.SimSpan(obs.ComputeTrack(dst), "replica", name, b+start, b+start+dur, args...)
+	if e.trace != nil {
+		e.trace.Stages = append(e.trace.Stages, gantt.StageEvent{File: int(f), Node: dst, Avail: start + dur, Size: size})
 	}
-	v.emitStage(f, src, dst, "replica", start, dur, size)
+	if e.tr.Enabled() {
+		b := e.base()
+		srcTrack, name := obs.StorageTrack(e.st.P.Batch.Files[f].Home), "stage file "+strconv.Itoa(int(f))
+		args := []obs.Arg{obs.A("file", int(f)), obs.A("bytes", size), obs.A("dst", dst)}
+		if src >= 0 {
+			srcTrack, name = obs.ComputeTrack(src), "replicate file "+strconv.Itoa(int(f))
+			args = []obs.Arg{obs.A("file", int(f)), obs.A("bytes", size), obs.A("src", src), obs.A("dst", dst)}
+		}
+		e.tr.SimSpan(srcTrack, kind, name, b+start, b+start+dur, args...)
+		e.tr.SimSpan(obs.ComputeTrack(dst), kind, name, b+start, b+start+dur, args...)
+		if src < 0 && e.linkTL != nil {
+			e.tr.SimSpan(obs.TrackLink, kind, name, b+start, b+start+dur, args...)
+		}
+	}
+	if j := e.st.J; j.Enabled() {
+		cause := "task"
+		switch {
+		case v.twin:
+			cause = "spec"
+		case e.curTask < 0:
+			cause = "prestage"
+		case e.curAttempt > 1:
+			cause = "retry"
+		}
+		alts := v.alts
+		v.alts = nil
+		b := e.base()
+		j.Emit(journal.Event{T: b + start, Kind: journal.KindStage, Round: e.round, Stage: &journal.Stage{
+			File: int(f), Dest: dst, Src: src, Home: e.st.P.Batch.Files[f].Home, Kind: kind,
+			Start: b + start, End: b + start + dur, Bytes: size,
+			Cause: cause, Task: e.curTask, Attempt: e.curAttempt, Alternatives: alts,
+		}})
+	}
 	v.setAvail(dst, f, start+dur)
 	return start + dur, nil
 }
@@ -727,43 +707,21 @@ func (v *schedEnv) commitReplica(f batch.FileID, src, dst int, start, dur float6
 // after a failed attempt: among nodes already holding the file it
 // returns the one whose copy would complete earliest without the
 // source crashing first. ok is false when no replica survives (the
-// retry then falls back to the storage cluster).
+// retry then falls back to the storage cluster). Retries happen only
+// on the commit path, so only committed holders are candidates.
 func (v *schedEnv) survivingReplica(f batch.FileID, dst int, after float64) (src int, start, dur float64, ok bool) {
 	e := v.e
-	p := e.st.P
-	if p.DisableReplication {
+	if e.st.P.DisableReplication {
 		return -1, 0, 0, false
 	}
-	size := p.Batch.FileSize(f)
 	best := math.Inf(1)
 	src = -1
-	// Same merged holder-list walk as bestSource: only nodes with a
-	// committed (or, in tentative envs, scheduled) copy are visited, in
-	// ascending node order.
-	hs := e.holders[f]
-	var ts []int32
-	if !v.commit {
-		ts = v.scratchByFile[f]
-	}
-	hi, ti := 0, 0
-	for hi < len(hs) || ti < len(ts) {
-		var j int
-		if hi < len(hs) && (ti >= len(ts) || hs[hi] <= ts[ti]) {
-			j = int(hs[hi])
-			hi++
-		} else {
-			j = int(ts[ti])
-			ti++
-		}
+	for _, h := range e.holders[f] {
+		j := int(h)
 		if j == dst {
 			continue
 		}
-		at, held := v.availOn(j, f)
-		if !held {
-			continue
-		}
-		jdur := float64(size) / p.Platform.ReplicaBW(j, dst)
-		jstart := v.multiSlot(math.Max(after, at), jdur, v.searcher(e.computeTL[j]), v.searcher(e.computeTL[dst]))
+		jstart, jdur := v.transferSlot(f, j, dst, math.Max(after, e.avail[j][f]))
 		end := jstart + jdur
 		if end > e.crashRel[j] {
 			continue // source dies before the copy completes
@@ -786,30 +744,22 @@ func (v *schedEnv) survivingReplica(f batch.FileID, dst int, after float64) (src
 // commit with a faultAbort.
 func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (float64, error) {
 	e := v.e
-	p := e.st.P
 	inj := e.inj
-	size := p.Batch.FileSize(f)
-	home := p.Batch.Files[f].Home
 	after := 0.0
 	for attempt := 1; attempt <= inj.MaxTransferRetries(); attempt++ {
 		curSrc := src
 		var start, dur float64
-		if attempt > 1 {
+		if attempt == 1 {
+			start, dur = v.transferSlot(f, src, dst, srcAt)
+		} else {
 			// Alternatives captured for the first attempt's source choice
 			// no longer describe this retry's decision.
 			v.alts = nil
 			var ok bool
-			curSrc, start, dur, ok = v.survivingReplica(f, dst, after)
-			if !ok {
+			if curSrc, start, dur, ok = v.survivingReplica(f, dst, after); !ok {
 				curSrc = -1
+				start, dur = v.transferSlot(f, -1, dst, after)
 			}
-		} else if curSrc >= 0 {
-			dur = float64(size) / p.Platform.ReplicaBW(curSrc, dst)
-			start = v.multiSlot(math.Max(after, srcAt), dur, v.searcher(e.computeTL[curSrc]), v.searcher(e.computeTL[dst]))
-		}
-		if curSrc < 0 {
-			dur = float64(size) / p.Platform.RemoteBW(home, dst)
-			start = v.multiSlot(after, dur, v.remoteResources(home, dst)...)
 		}
 		end := start + dur
 
@@ -832,12 +782,7 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 		}
 		if math.IsInf(failAt, 1) {
 			e.curAttempt = attempt
-			at, err := 0.0, error(nil)
-			if curSrc >= 0 {
-				at, err = v.commitReplica(f, curSrc, dst, start, dur)
-			} else {
-				at, err = v.commitRemote(f, home, dst, start, dur)
-			}
+			at, err := v.commitTransfer(f, curSrc, dst, start, dur)
 			e.curAttempt = 0
 			if err != nil {
 				return 0, err
@@ -858,15 +803,7 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 		e.stats.TransferFailures++
 		e.stats.WastedSeconds += failAt - start
 		if failAt > start {
-			if curSrc >= 0 {
-				e.computeTL[curSrc].Reserve(start, failAt-start, tagFault)
-			} else {
-				e.storageTL[home].Reserve(start, failAt-start, tagFault)
-				if e.linkTL != nil {
-					e.linkTL.Reserve(start, failAt-start, tagFault)
-				}
-			}
-			e.computeTL[dst].Reserve(start, failAt-start, tagFault)
+			v.reserveTransfer(f, curSrc, dst, start, failAt-start, tagFault)
 		}
 		if e.tr.Enabled() {
 			b := e.base()
@@ -884,7 +821,7 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 					detail = "source replica node crashed mid-transfer"
 				}
 			}
-			srcDesc := "storage home " + strconv.Itoa(home)
+			srcDesc := "storage home " + strconv.Itoa(e.st.P.Batch.Files[f].Home)
 			if curSrc >= 0 {
 				srcDesc = "replica on node " + strconv.Itoa(curSrc)
 			}
@@ -909,25 +846,10 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 // base returns the absolute sim time at the start of this sub-batch.
 func (e *executor) base() float64 { return e.st.Clock }
 
-// scheduleTask stages task t's missing files (greedy min-TCT order,
-// per §6) and then places its execution; it returns the task's
-// completion time. With commit=false everything happens on overlays.
-func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
-	var v *schedEnv
-	if commit {
-		v = newSchedEnv(e, true)
-		e.curTask = int(t)
-	} else {
-		v = e.tentativeEnv()
-	}
-	c := e.plan.Node[t]
-	task := &e.st.P.Batch.Tasks[t]
-
-	// Stage missing files. §6 picks the file with minimum TCT first,
-	// recomputes, and repeats; since transfers to one node serialize on
-	// its port, scheduling shorter-TCT transfers first is what the
-	// greedy order achieves. We emulate it by repeatedly choosing the
-	// cheapest remaining file.
+// stageInputs stages every input of task that node c lacks and returns
+// the time the last of them is available there.
+func (v *schedEnv) stageInputs(task *batch.Task, c int) (float64, error) {
+	e := v.e
 	remaining := e.remainingBuf[:0]
 	arrival := 0.0
 	for _, f := range task.Files {
@@ -941,14 +863,15 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 	}
 	for len(remaining) > 0 {
 		// §6: estimate the TCT of every remaining input file against
-		// the current Gantt view, tentatively schedule the minimum,
-		// recompute the rest, and repeat. In pinned (IP-plan) mode the
+		// the current Gantt view, schedule the minimum, recompute the
+		// rest, and repeat (transfers to one node serialize on its port,
+		// so shorter-TCT transfers go first). In pinned (IP-plan) mode the
 		// source is dictated and may involve realizing a replication
 		// chain, which probing cannot price without side effects, so
 		// files are taken in ascending-size order there (the same
 		// order min-TCT produces on an otherwise idle port).
 		best := 0
-		if e.plan.Pinned {
+		if e.plan.Pinned && !v.dynamicOnly {
 			for i := 1; i < len(remaining); i++ {
 				if e.st.P.Batch.FileSize(remaining[i]) < e.st.P.Batch.FileSize(remaining[best]) {
 					best = i
@@ -957,7 +880,7 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 		} else {
 			bestTCT := math.Inf(1)
 			for i, f := range remaining {
-				if tct := v.probeTCT(f, c); tct < bestTCT {
+				if _, _, tct := v.bestSource(f, c); tct < bestTCT {
 					bestTCT, best = tct, i
 				}
 			}
@@ -974,14 +897,39 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 		}
 	}
 	e.remainingBuf = remaining[:0]
+	return arrival, nil
+}
 
-	// Execute: local read of all inputs plus computation, on the
-	// node's port (no staging overlaps execution).
+// execBase returns task's fault-free execution time on node c: a
+// local read of all its inputs plus its computation.
+func (e *executor) execBase(task *batch.Task, c int) float64 {
 	var bytes int64
 	for _, f := range task.Files {
 		bytes += e.st.P.Batch.FileSize(f)
 	}
-	baseDur := float64(bytes)/e.st.P.Platform.Compute[c].LocalReadBW + task.Compute
+	return float64(bytes)/e.st.P.Platform.Compute[c].LocalReadBW + task.Compute
+}
+
+// scheduleTask stages task t's missing files (greedy min-TCT order,
+// per §6) and then places its execution; it returns the task's
+// completion time. With commit=false everything happens on overlays.
+func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
+	var v *schedEnv
+	if commit {
+		v = newSchedEnv(e, true)
+		e.curTask = int(t)
+	} else {
+		v = e.tentativeEnv()
+	}
+	c := e.plan.Node[t]
+	task := &e.st.P.Batch.Tasks[t]
+	arrival, err := v.stageInputs(task, c)
+	if err != nil {
+		return 0, err
+	}
+
+	// Execute on the node's port (no staging overlaps execution).
+	baseDur := e.execBase(task, c)
 	execDur := baseDur
 	stragFactor := 0.0
 	if commit && e.inj != nil {
@@ -1011,28 +959,41 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 			return end, err
 		}
 	}
-	if commit && e.inj != nil {
-		if crashAt := e.crashRel[c]; start+execDur > crashAt {
-			// Node c dies before this execution completes: burn the
-			// started portion and hand the task back for re-queueing.
-			if start < crashAt {
-				e.computeTL[c].Reserve(start, crashAt-start, tagFault)
-				e.stats.WastedSeconds += crashAt - start
-				if e.tr.Enabled() {
-					b := e.base()
-					e.tr.SimSpan(obs.ComputeTrack(c), "fault", "killed task "+strconv.Itoa(int(t)),
-						b+start, b+crashAt, obs.A("task", int(t)), obs.A("node", c))
-				}
-			}
-			e.crashSeen[c] = true
-			return 0, &faultAbort{node: c, at: crashAt, crash: true,
-				reason: fmt.Sprintf("node %d crashed during task %d execution", c, t)}
-		}
+	if commit && e.inj != nil && start+execDur > e.crashRel[c] {
+		// Node c dies before this execution completes: burn the started
+		// portion and hand the task back for re-queueing.
+		return 0, e.killTask(t, c, start, fmt.Sprintf("node %d crashed during task %d execution", c, t))
 	}
 	if commit {
 		e.commitExec(t, c, task, start, execDur)
 	}
 	return start + execDur, nil
+}
+
+// killTask burns task t's execution on node c from start until c's
+// crash interrupts it, and returns the abort that hands the task back
+// for re-queueing.
+func (e *executor) killTask(t batch.TaskID, c int, start float64, reason string) *faultAbort {
+	crashAt := e.crashRel[c]
+	e.stats.WastedSeconds += e.burnExec(t, c, start, crashAt, "killed task ")
+	e.crashSeen[c] = true
+	return &faultAbort{node: c, at: crashAt, crash: true, reason: reason}
+}
+
+// burnExec books the interrupted part [start, stop) of an execution of
+// task t on node n as a tag-fault reservation, traced as label plus
+// the task number, and returns its length (0 when it never started).
+func (e *executor) burnExec(t batch.TaskID, n int, start, stop float64, label string) float64 {
+	if stop <= start {
+		return 0
+	}
+	e.computeTL[n].Reserve(start, stop-start, tagFault)
+	if e.tr.Enabled() {
+		b := e.base()
+		e.tr.SimSpan(obs.ComputeTrack(n), "fault", label+strconv.Itoa(int(t)),
+			b+start, b+stop, obs.A("task", int(t)), obs.A("node", n))
+	}
+	return stop - start
 }
 
 // commitExec books task t's execution [start, start+dur) on node c
@@ -1046,11 +1007,7 @@ func (e *executor) commitExec(t batch.TaskID, c int, task *batch.Task, start, du
 		e.st.Touch(c, f, e.base()+start+dur)
 	}
 	if e.trace != nil {
-		inputs := make([]int, len(task.Files))
-		for i, f := range task.Files {
-			inputs[i] = int(f)
-		}
-		e.trace.Tasks = append(e.trace.Tasks, gantt.TaskEvent{Task: int(t), Node: c, Start: start, End: start + dur, Inputs: inputs})
+		e.trace.Tasks = append(e.trace.Tasks, gantt.TaskEvent{Task: int(t), Node: c, Start: start, End: start + dur, Inputs: fileInts(task.Files)})
 	}
 	if e.tr.Enabled() {
 		b := e.base()
@@ -1060,13 +1017,18 @@ func (e *executor) commitExec(t batch.TaskID, c int, task *batch.Task, start, du
 	}
 	if j := e.st.J; j.Enabled() {
 		b := e.base()
-		inputs := make([]int, len(task.Files))
-		for i, f := range task.Files {
-			inputs[i] = int(f)
-		}
 		j.Emit(journal.Event{T: b + start, Kind: journal.KindExec, Round: e.round, Exec: &journal.Exec{
-			Task: int(t), Node: c, Start: b + start, End: b + start + dur, Inputs: inputs}})
+			Task: int(t), Node: c, Start: b + start, End: b + start + dur, Inputs: fileInts(task.Files)}})
 	}
+}
+
+// fileInts returns a fresh copy of files as plain ints.
+func fileInts(files []batch.FileID) []int {
+	out := make([]int, len(files))
+	for i, f := range files {
+		out[i] = int(f)
+	}
+	return out
 }
 
 // specOp is one tentatively scheduled twin transfer, recorded so the
@@ -1153,42 +1115,12 @@ func (e *executor) planTwin(t batch.TaskID, task *batch.Task, j, c int, forkT, p
 		}
 	}
 
-	arrival := 0.0
-	remaining := make([]batch.FileID, 0, len(task.Files))
-	for _, f := range task.Files {
-		if at, ok := v.availOn(j, f); ok {
-			if at > arrival {
-				arrival = at
-			}
-			continue
-		}
-		remaining = append(remaining, f)
-	}
-	for len(remaining) > 0 {
-		best := 0
-		bestTCT := math.Inf(1)
-		for i, f := range remaining {
-			if tct := v.probeTCT(f, j); tct < bestTCT {
-				bestTCT, best = tct, i
-			}
-		}
-		f := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		// Tentative scheduling cannot fail: the fault paths are
-		// commit-only.
-		at, _ := v.ensureFile(f, j)
-		if at > arrival {
-			arrival = at
-		}
-	}
-
-	var bytes int64
-	for _, f := range task.Files {
-		bytes += e.st.P.Batch.FileSize(f)
-	}
+	// Tentative scheduling cannot fail: the fault paths are
+	// commit-only.
+	arrival, _ := v.stageInputs(task, j)
 	// The twin draws its own straggler luck through disjoint hash
 	// domains: forking never perturbs any primary-path draw.
-	dur := (float64(bytes)/e.st.P.Platform.Compute[j].LocalReadBW + task.Compute) * e.inj.SpecStraggler(int(t), e.round)
+	dur := e.execBase(task, j) * e.inj.SpecStraggler(int(t), e.round)
 	exStart := v.searcher(e.computeTL[j]).EarliestSlot(math.Max(arrival, forkT), dur)
 	return twinPlan{node: j, ops: ops, execStart: exStart, execDur: dur, end: exStart + dur}
 }
@@ -1204,32 +1136,20 @@ func (e *executor) planTwin(t batch.TaskID, task *batch.Task, j, c int, forkT, p
 // any op had started.
 func (e *executor) commitTwinOps(bp twinPlan, stopT float64) (waste float64, started bool, err error) {
 	v := newSchedEnv(e, true)
+	v.twin = true
 	for _, op := range bp.ops {
 		if op.start >= stopT {
 			continue
 		}
 		started = true
 		if op.start+op.dur <= stopT {
-			if op.src >= 0 {
-				_, err = v.commitReplica(op.file, op.src, op.dst, op.start, op.dur)
-			} else {
-				_, err = v.commitRemote(op.file, e.st.P.Batch.Files[op.file].Home, op.dst, op.start, op.dur)
-			}
-			if err != nil {
+			if _, err = v.commitTransfer(op.file, op.src, op.dst, op.start, op.dur); err != nil {
 				return waste, started, err
 			}
 			continue
 		}
 		cut := stopT - op.start
-		if op.src >= 0 {
-			e.computeTL[op.src].Reserve(op.start, cut, tagFault)
-		} else {
-			e.storageTL[e.st.P.Batch.Files[op.file].Home].Reserve(op.start, cut, tagFault)
-			if e.linkTL != nil {
-				e.linkTL.Reserve(op.start, cut, tagFault)
-			}
-		}
-		e.computeTL[op.dst].Reserve(op.start, cut, tagFault)
+		v.reserveTransfer(op.file, op.src, op.dst, op.start, cut, tagFault)
 		if err = e.st.AddFile(op.dst, op.file, e.base()+stopT); err != nil {
 			return waste, started, err
 		}
@@ -1242,6 +1162,24 @@ func (e *executor) commitTwinOps(bp twinPlan, stopT float64) (waste float64, sta
 		}
 	}
 	return waste, started, nil
+}
+
+// cancelTwin cancels twin plan bp of task t at stopT: its transfers
+// replay up to stopT (commitTwinOps), and its execution, if started by
+// then, burns as a tag-fault reservation on the twin's node. The burnt
+// port time is added to SpecWastedSeconds and returned, together with
+// whether any part of the twin had started.
+func (e *executor) cancelTwin(bp twinPlan, stopT float64, t batch.TaskID) (waste float64, startedAny bool, err error) {
+	waste, startedAny, err = e.commitTwinOps(bp, stopT)
+	if err != nil {
+		return waste, startedAny, err
+	}
+	if burnt := e.burnExec(t, bp.node, bp.execStart, stopT, "cancelled twin of task "); burnt > 0 {
+		waste += burnt
+		startedAny = true
+	}
+	e.stats.SpecWastedSeconds += waste
+	return waste, startedAny, nil
 }
 
 // trySpeculate is the watchdog hook on the commit path: when task t's
@@ -1270,7 +1208,9 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 	// threshold, or its node crashes mid-run and the attempt never
 	// finishes at all (the watchdog cannot tell the two apart — a
 	// silent task is a silent task).
-	if primAlive := start+execDur <= e.crashRel[c]; primAlive && execDur <= thr {
+	primEnd := start + execDur
+	primAlive := primEnd <= e.crashRel[c]
+	if primAlive && execDur <= thr {
 		return false, 0, nil
 	}
 	// Duplicating a merely-slow (but live) primary trades port time
@@ -1284,13 +1224,10 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 	// the sub-batch tail directly. Crash-killed primaries are exempt:
 	// their alternative is a requeue into a later sub-batch, which is
 	// strictly worse than any finite twin.
-	if start+execDur <= e.crashRel[c] && e.drainLeft >= len(e.computeTL) {
+	if primAlive && e.drainLeft >= len(e.computeTL) {
 		return false, 0, nil
 	}
 	forkT := start + thr
-
-	primEnd := start + execDur
-	primAlive := primEnd <= e.crashRel[c]
 
 	// A fork is only worthwhile if the twin can plausibly win the
 	// race. Conditioned on "still silent at the threshold", a live
@@ -1369,24 +1306,14 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 		if e.crashRel[c] < primStop {
 			primStop, crashKilled = e.crashRel[c], true
 		}
-		if primStop > start {
-			e.computeTL[c].Reserve(start, primStop-start, tagFault)
-			e.stats.SpecWastedSeconds += primStop - start
-			if e.tr.Enabled() {
-				e.tr.SimSpan(obs.ComputeTrack(c), "fault", "cancelled task "+strconv.Itoa(int(t)),
-					b+start, b+primStop, obs.A("task", int(t)), obs.A("node", c))
-			}
-		}
+		e.stats.SpecWastedSeconds += e.burnExec(t, c, start, primStop, "cancelled task ")
 		if crashKilled {
 			e.crashSeen[c] = true
 		}
 		if !primAlive {
 			e.stats.SpecSaved++
 		}
-		e.specCause = "spec"
-		_, _, err := e.commitTwinOps(bp, math.Inf(1))
-		e.specCause = ""
-		if err != nil {
+		if _, _, err := e.commitTwinOps(bp, math.Inf(1)); err != nil {
 			return true, 0, err
 		}
 		e.commitExec(t, best, task, bp.execStart, bp.execDur)
@@ -1420,22 +1347,10 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 		if twinCrashed {
 			twinStop = e.crashRel[best]
 		}
-		e.specCause = "spec"
-		waste, startedAny, err := e.commitTwinOps(bp, twinStop)
-		e.specCause = ""
+		waste, startedAny, err := e.cancelTwin(bp, twinStop, t)
 		if err != nil {
 			return true, 0, err
 		}
-		if bp.execStart < twinStop {
-			e.computeTL[best].Reserve(bp.execStart, twinStop-bp.execStart, tagFault)
-			waste += twinStop - bp.execStart
-			startedAny = true
-			if e.tr.Enabled() {
-				e.tr.SimSpan(obs.ComputeTrack(best), "fault", "cancelled twin of task "+strconv.Itoa(int(t)),
-					b+bp.execStart, b+twinStop, obs.A("task", int(t)), obs.A("node", best))
-			}
-		}
-		e.stats.SpecWastedSeconds += waste
 		if twinCrashed && startedAny {
 			e.crashSeen[best] = true
 		}
@@ -1462,33 +1377,13 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 	// and hand the task back exactly once (the run loop re-queues on
 	// the single faultAbort, so a killed task with a twin in flight is
 	// never double-requeued).
-	crashAt := e.crashRel[c]
-	if crashAt > start {
-		e.computeTL[c].Reserve(start, crashAt-start, tagFault)
-		e.stats.WastedSeconds += crashAt - start
-		if e.tr.Enabled() {
-			e.tr.SimSpan(obs.ComputeTrack(c), "fault", "killed task "+strconv.Itoa(int(t)),
-				b+start, b+crashAt, obs.A("task", int(t)), obs.A("node", c))
-		}
-	}
-	e.crashSeen[c] = true
+	abort := e.killTask(t, c, start,
+		fmt.Sprintf("node %d crashed during task %d execution; speculative twin on node %d also died", c, t, best))
 	twinStop := e.crashRel[best]
-	e.specCause = "spec"
-	waste, startedAny, err := e.commitTwinOps(bp, twinStop)
-	e.specCause = ""
+	waste, startedAny, err := e.cancelTwin(bp, twinStop, t)
 	if err != nil {
 		return true, 0, err
 	}
-	if bp.execStart < twinStop {
-		e.computeTL[best].Reserve(bp.execStart, twinStop-bp.execStart, tagFault)
-		waste += twinStop - bp.execStart
-		startedAny = true
-		if e.tr.Enabled() {
-			e.tr.SimSpan(obs.ComputeTrack(best), "fault", "cancelled twin of task "+strconv.Itoa(int(t)),
-				b+bp.execStart, b+twinStop, obs.A("task", int(t)), obs.A("node", best))
-		}
-	}
-	e.stats.SpecWastedSeconds += waste
 	if startedAny {
 		e.crashSeen[best] = true
 	}
@@ -1498,8 +1393,7 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 			Task: int(t), Node: c, Twin: best, Winner: "none", PrimaryEnd: -1, TwinEnd: -1, WastedS: waste,
 			Reason: "both attempts crash-killed; task re-queued"}})
 	}
-	return true, 0, &faultAbort{node: c, at: crashAt, crash: true,
-		reason: fmt.Sprintf("node %d crashed during task %d execution; speculative twin on node %d also died", c, t, best)}
+	return true, 0, abort
 }
 
 // ectEntry is a heap entry with a cached earliest completion time.
@@ -1536,15 +1430,11 @@ func (e *executor) run() (*ExecStats, error) {
 			continue // already there
 		}
 		e.curTask = -1 // journaled as planner-directed pre-staging
-		v := newSchedEnv(e, true)
-		var err error
+		src, srcAt := -1, 0.0
 		if op.Kind == Replica && !e.st.P.DisableReplication && e.avail[op.Src][op.File] >= 0 {
-			srcAt := e.avail[op.Src][op.File]
-			_, err = v.replicaTransfer(op.File, op.Src, op.Dest, srcAt)
-		} else {
-			_, err = v.remoteTransfer(op.File, op.Dest)
+			src, srcAt = op.Src, e.avail[op.Src][op.File]
 		}
-		if err != nil {
+		if _, err := newSchedEnv(e, true).transfer(op.File, src, op.Dest, srcAt); err != nil {
 			// Pre-staging is a best-effort optimization: a fault-aborted
 			// op is simply skipped (tasks re-stage on demand).
 			var fa *faultAbort
