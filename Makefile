@@ -1,17 +1,18 @@
 GO ?= go
 
-.PHONY: all help build vet lint test race fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
+.PHONY: all help build vet lint test race perfbench-test fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
 
 all: verify
 
 help:
 	@echo "Targets:"
-	@echo "  make verify        - full tier-1 gate: build, vet, lint, test, race, fuzz-short, explain-check"
+	@echo "  make verify        - full tier-1 gate: build, vet, lint, test, race, perfbench-test, fuzz-short, explain-check"
 	@echo "  make build         - compile every package"
 	@echo "  make vet           - go vet"
 	@echo "  make lint          - run schedlint -strict (7 checks + suppression-hygiene audit)"
 	@echo "  make test          - unit tests"
 	@echo "  make race          - unit tests under the race detector"
+	@echo "  make perfbench-test- the benchmark module's tests (perfbench/)"
 	@echo "  make fuzz-short    - one short iteration of each fuzz target"
 	@echo "  make chaos         - fault-injection suite under -race + the chaos matrix"
 	@echo "  make spec-chaos    - speculation suite under -race + a speculated CLI run"
@@ -46,6 +47,12 @@ test:
 # repository's tier-1 verification, not an optional extra.
 race:
 	$(GO) test -race ./...
+
+# perfbench is its own Go module, so `go test ./...` above never enters
+# it. Its tests pin the benchmark's traced loop, built on ExecuteSpec,
+# to core.RunFromWith on Result and journal bytes.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # One short round of each fuzz target: replays the committed corpus
 # plus a few seconds of new inputs, enough to catch invariant
@@ -86,7 +93,7 @@ explain-check:
 	$(GO) run ./cmd/schedexplain -journal journal_w1.jsonl
 	$(GO) run ./cmd/schedexplain -journal journal_w1.jsonl -critical > /dev/null
 
-verify: build vet lint test race fuzz-short explain-check
+verify: build vet lint test race perfbench-test fuzz-short explain-check
 
 # One timed pipeline run per scheduling scheme, parsed into
 # BENCH_schedulers.json (per-scheme ns/op, allocs/op, simulated

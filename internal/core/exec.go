@@ -864,12 +864,12 @@ func (v *schedEnv) stageInputs(task *batch.Task, c int) (float64, error) {
 	for len(remaining) > 0 {
 		// §6: estimate the TCT of every remaining input file against
 		// the current Gantt view, schedule the minimum, recompute the
-		// rest, and repeat (transfers to one node serialize on its port,
-		// so shorter-TCT transfers go first). In pinned (IP-plan) mode the
-		// source is dictated and may involve realizing a replication
-		// chain, which probing cannot price without side effects, so
-		// files are taken in ascending-size order there (the same
-		// order min-TCT produces on an otherwise idle port).
+		// rest, and repeat (transfers to one node serialize on its
+		// port, so shorter-TCT transfers go first). In pinned (IP-plan)
+		// mode the source is dictated and may involve realizing a
+		// replication chain, which probing cannot price without side
+		// effects, so files are taken in ascending-size order there (the
+		// same order min-TCT produces on an otherwise idle port).
 		best := 0
 		if e.plan.Pinned && !v.dynamicOnly {
 			for i := 1; i < len(remaining); i++ {
