@@ -64,12 +64,17 @@ func pinnedRuns(t *testing.T) []pinnedRun {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []core.Scheduler{minmin.New(), jdp.New(), bipart.New(1)} {
+		for _, newSched := range []func() core.Scheduler{
+			func() core.Scheduler { return minmin.New() },
+			func() core.Scheduler { return jdp.New() },
+			func() core.Scheduler { return bipart.New(1) },
+		} {
 			for _, seed := range []int64{3, 8, 13} {
 				fp, err := faults.Parse(fmt.Sprintf("harsh,mttf=200,linkp=0.3,seed=%d", seed))
 				if err != nil {
 					t.Fatal(err)
 				}
+				s := newSched()
 				runs = append(runs, pinnedRun{fmt.Sprintf("harsh/%s/%s/seed%d", pf.Name, s.Name(), seed), p, s, fp})
 			}
 		}
