@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -45,7 +46,11 @@ type pinnedRun struct {
 //   - harsh faults with a raised link failure rate plus single-fork
 //     speculation for MinMin, JDP and BiPartition, on XIO and on
 //     OSUMED — the platform with a shared wide-area link, so failed
-//     remote transfers burn link time too.
+//     remote transfers burn link time too;
+//   - fault-free MinMin and JDP runs that pin their planners: the
+//     workload.Random cases of their equivalence tests (unlimited disk,
+//     disk pressure, replication disabled), and a 1k-task IMAGE batch
+//     whose disk forces many sub-batches and evictions.
 //
 // IP is left out: its incumbents still depend on wall-clock budgets.
 func pinnedRuns(t *testing.T) []pinnedRun {
@@ -79,12 +84,77 @@ func pinnedRuns(t *testing.T) []pinnedRun {
 			}
 		}
 	}
+	return append(runs, plannerRuns(t)...)
+}
+
+// plannerRuns lists the fault-free MinMin and JDP rows of the table.
+func plannerRuns(t *testing.T) []pinnedRun {
+	t.Helper()
+	type randomCase struct {
+		name    string
+		compute int
+		disk    int64
+		noRepl  bool
+		b       *batch.Batch
+	}
+	rnd := func(seed int64) *batch.Batch {
+		return workload.Random(seed, 60, 45, 5, 2, 12*platform.MB, platform.PaperComputeFactor)
+	}
+	small := workload.Random(7, 50, 35, 4, 2, 10*platform.MB, platform.PaperComputeFactor)
+	// The cases of TestMinMinIncrementalEquivalence(NoReplication) and
+	// TestJDPIndexedEquivalence.
+	mmCases := []randomCase{
+		{"unlimited", 4, 0, false, rnd(1)},
+		{"unlimited-wide", 9, 0, false, rnd(2)},
+		{"disk-pressure", 3, 90 * platform.MB, false, rnd(3)},
+		{"disk-tight", 4, 70 * platform.MB, false, rnd(4)},
+		{"no-replication", 4, 0, true, small},
+		{"no-replication-disk", 4, 55 * platform.MB, true, small},
+	}
+	jdpCases := []randomCase{
+		{"unlimited", 4, 0, false, rnd(1)},
+		{"unlimited-wide", 9, 0, false, rnd(2)},
+		{"disk-pressure", 3, 90 * platform.MB, false, rnd(3)},
+		{"disk-tight", 4, 120 * platform.MB, false, rnd(4)},
+		{"no-replication", 4, 0, true, rnd(5)},
+		{"no-replication-disk", 4, 80 * platform.MB, true, rnd(6)},
+	}
+	var runs []pinnedRun
+	for _, arm := range []struct {
+		cases    []randomCase
+		newSched func() core.Scheduler
+	}{
+		{mmCases, func() core.Scheduler { return minmin.New() }},
+		{jdpCases, func() core.Scheduler { return jdp.New() }},
+	} {
+		for _, c := range arm.cases {
+			s := arm.newSched()
+			p := &core.Problem{Batch: c.b, Platform: platform.XIO(c.compute, 2, c.disk), DisableReplication: c.noRepl}
+			runs = append(runs, pinnedRun{fmt.Sprintf("random/%s/%s", s.Name(), c.name), p, s, nil})
+		}
+	}
+	b, err := workload.Image(workload.ImageConfig{NumTasks: 1000, Overlap: workload.HighOverlap,
+		NumStorage: 4, Seed: 17, MaxPatients: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 300 MB is about twice the largest task's inputs and under 4% of
+	// the batch's unique bytes.
+	p := &core.Problem{Batch: b, Platform: platform.XIO(16, 4, 300*platform.MB)}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []core.Scheduler{minmin.New(), jdp.New()} {
+		runs = append(runs, pinnedRun{"image1k-disk/" + s.Name(), p, s, nil})
+	}
 	return runs
 }
 
 // runDigests runs r with a journal and a sim-only tracer attached and
 // returns the sha256 of the journal JSONL, the Chrome trace and the
-// Result JSON (wall-clock SchedulingTime zeroed), in that order.
+// Result JSON (wall-clock SchedulingTime zeroed), in that order. The
+// Result is digested as sorted-key JSON with every number kept as
+// written, so the digest does not depend on Result's field order.
 func runDigests(t *testing.T, r pinnedRun) [3]string {
 	t.Helper()
 	rec := journal.New()
@@ -102,14 +172,32 @@ func runDigests(t *testing.T, r pinnedRun) [3]string {
 		t.Fatal(err)
 	}
 	res.SchedulingTime = 0
-	rb, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := sortedJSON(t, res)
 	var out [3]string
 	for i, data := range [][]byte{jb.Bytes(), tb.Bytes(), rb} {
 		sum := sha256.Sum256(data)
 		out[i] = hex.EncodeToString(sum[:])
+	}
+	return out
+}
+
+// sortedJSON marshals v with its object keys in sorted order. Numbers
+// round-trip through json.Number, so they keep their exact text.
+func sortedJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var generic any
+	if err := dec.Decode(&generic); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(generic)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
