@@ -21,8 +21,6 @@ type ExecStats struct {
 	// Makespan is the sub-batch execution time: the latest finish time
 	// over all compute nodes, measured from the sub-batch start.
 	Makespan float64
-	// TasksRun counts tasks executed.
-	TasksRun int
 	// RemoteTransfers / RemoteBytes count storage→compute stagings.
 	RemoteTransfers int
 	RemoteBytes     int64
@@ -58,7 +56,6 @@ type ExecStats struct {
 // sub-batches run back to back).
 func (s *ExecStats) Add(o *ExecStats) {
 	s.Makespan += o.Makespan
-	s.TasksRun += o.TasksRun
 	s.RemoteTransfers += o.RemoteTransfers
 	s.RemoteBytes += o.RemoteBytes
 	s.ReplicaTransfers += o.ReplicaTransfers
@@ -1002,7 +999,6 @@ func (e *executor) burnExec(t batch.TaskID, n int, start, stop float64, label st
 func (e *executor) commitExec(t batch.TaskID, c int, task *batch.Task, start, dur float64) {
 	e.computeTL[c].Reserve(start, dur, tagExec)
 	e.st.Done[t] = true
-	e.stats.TasksRun++
 	for _, f := range task.Files {
 		e.st.Touch(c, f, e.base()+start+dur)
 	}

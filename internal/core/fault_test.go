@@ -187,32 +187,44 @@ func TestRunFromSkipsDoneAndDuplicates(t *testing.T) {
 // marshalling, so persisted chaos reports are lossless.
 func TestResultJSONRoundTrip(t *testing.T) {
 	in := &core.Result{
-		Scheduler:        "test",
-		Status:           core.StatusDegraded,
-		Makespan:         123.5,
-		SchedulingTime:   1500 * time.Microsecond,
-		SubBatches:       3,
-		TaskCount:        24,
-		RemoteTransfers:  7,
-		RemoteBytes:      1 << 30,
-		ReplicaTransfers: 5,
-		ReplicaBytes:     1 << 20,
-		Evictions:        2,
-		StorageBusy:      55.25,
-		ComputeBusy:      99.75,
-		TransferFailures: 4, TransferRetries: 3, ReplicaRecoveries: 2,
-		Crashes: 1, Stragglers: 6, RequeuedTasks: 2, DegradedTasks: 1,
-		WastedSeconds: 12.125,
-		SpecLaunches:  5, SpecWins: 3, SpecCancels: 5, SpecSaved: 1,
-		SpecWastedSeconds: 7.25,
+		Scheduler:      "test",
+		Status:         core.StatusDegraded,
+		SchedulingTime: 1500 * time.Microsecond,
+		SubBatches:     3,
+		TaskCount:      24,
+		Evictions:      2,
+		DegradedTasks:  1,
+		ExecStats: core.ExecStats{
+			Makespan:         123.5,
+			RemoteTransfers:  7,
+			RemoteBytes:      1 << 30,
+			ReplicaTransfers: 5,
+			ReplicaBytes:     1 << 20,
+			StorageBusy:      55.25,
+			ComputeBusy:      99.75,
+			TransferFailures: 4, TransferRetries: 3, ReplicaRecoveries: 2,
+			Crashes: 1, Stragglers: 6, RequeuedTasks: 2,
+			WastedSeconds: 12.125,
+			SpecLaunches:  5, SpecWins: 3, SpecCancels: 5, SpecSaved: 1,
+			SpecWastedSeconds: 7.25,
+		},
 	}
-	// Every field set: catch future additions that forget this test.
-	v := reflect.ValueOf(*in)
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).IsZero() {
-			t.Fatalf("field %s left at zero value; set it so the round trip is meaningful", v.Type().Field(i).Name)
+	// Every field set, the embedded ExecStats's included: catch future
+	// additions that forget this test.
+	var allSet func(v reflect.Value)
+	allSet = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, sf := v.Field(i), v.Type().Field(i)
+			if sf.Anonymous {
+				allSet(f)
+				continue
+			}
+			if f.IsZero() {
+				t.Fatalf("field %s left at zero value; set it so the round trip is meaningful", sf.Name)
+			}
 		}
 	}
+	allSet(reflect.ValueOf(*in))
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -229,13 +241,13 @@ func TestResultJSONRoundTrip(t *testing.T) {
 // TestExecStatsAddCommutative: chaos-matrix cells are aggregated in
 // whatever order workers finish, so the merge must commute.
 func TestExecStatsAddCommutative(t *testing.T) {
-	a := core.ExecStats{Makespan: 1, TasksRun: 2, RemoteTransfers: 3, RemoteBytes: 4,
+	a := core.ExecStats{Makespan: 1, RemoteTransfers: 3, RemoteBytes: 4,
 		ReplicaTransfers: 5, ReplicaBytes: 6, StorageBusy: 7, ComputeBusy: 8,
 		TransferFailures: 9, TransferRetries: 10, ReplicaRecoveries: 11,
 		Crashes: 12, Stragglers: 13, RequeuedTasks: 14, WastedSeconds: 15,
 		SpecLaunches: 16, SpecWins: 17, SpecCancels: 18, SpecSaved: 19,
 		SpecWastedSeconds: 20}
-	b := core.ExecStats{Makespan: 100, TasksRun: 200, RemoteTransfers: 300, RemoteBytes: 400,
+	b := core.ExecStats{Makespan: 100, RemoteTransfers: 300, RemoteBytes: 400,
 		ReplicaTransfers: 500, ReplicaBytes: 600, StorageBusy: 700, ComputeBusy: 800,
 		TransferFailures: 900, TransferRetries: 1000, ReplicaRecoveries: 1100,
 		Crashes: 1200, Stragglers: 1300, RequeuedTasks: 1400, WastedSeconds: 1500,

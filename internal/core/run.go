@@ -24,50 +24,27 @@ const (
 )
 
 // Result aggregates one full batch run: the three-stage pipeline
-// applied repeatedly until every task has executed.
+// applied repeatedly until every task has executed. The embedded
+// ExecStats sums every sub-batch's runtime-stage counters; its
+// Makespan is the total simulated batch execution time in seconds
+// (sub-batches run back to back).
 type Result struct {
 	Scheduler string
 	// Status is StatusComplete unless fault injection exhausted some
 	// task's retry budget (then StatusDegraded).
 	Status RunStatus
-	// Makespan is the total simulated batch execution time in seconds
-	// (sum of sub-batch makespans; sub-batches run back to back).
-	Makespan float64
 	// SchedulingTime is the real wall-clock time the scheduler spent
 	// planning (the paper's scheduling overhead; Figure 6(b) reports
 	// it per task).
 	SchedulingTime time.Duration
 	SubBatches     int
 	TaskCount      int
-
-	RemoteTransfers  int
-	RemoteBytes      int64
-	ReplicaTransfers int
-	ReplicaBytes     int64
-	Evictions        int
-
-	StorageBusy float64
-	ComputeBusy float64
-
-	// Fault/recovery accounting, all zero on fault-free runs.
-	TransferFailures  int
-	TransferRetries   int
-	ReplicaRecoveries int
-	Crashes           int
-	Stragglers        int
-	RequeuedTasks     int
+	Evictions      int
 	// DegradedTasks counts tasks abandoned after their retry budget
-	// was exhausted; they are not executed and not counted in TasksRun.
+	// was exhausted; they are not executed.
 	DegradedTasks int
-	WastedSeconds float64
 
-	// Speculative-execution accounting, all zero unless RunOptions.Spec
-	// forked duplicate attempts.
-	SpecLaunches      int
-	SpecWins          int
-	SpecCancels       int
-	SpecSaved         int
-	SpecWastedSeconds float64
+	ExecStats
 }
 
 // SchedulingMSPerTask returns the paper's Figure 6(b) metric.
@@ -283,25 +260,7 @@ func RunFromWith(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions)
 			endEvict()
 		}
 	}
-	res.Makespan = agg.Makespan
-	res.RemoteTransfers = agg.RemoteTransfers
-	res.RemoteBytes = agg.RemoteBytes
-	res.ReplicaTransfers = agg.ReplicaTransfers
-	res.ReplicaBytes = agg.ReplicaBytes
-	res.StorageBusy = agg.StorageBusy
-	res.ComputeBusy = agg.ComputeBusy
-	res.TransferFailures = agg.TransferFailures
-	res.TransferRetries = agg.TransferRetries
-	res.ReplicaRecoveries = agg.ReplicaRecoveries
-	res.Crashes = agg.Crashes
-	res.Stragglers = agg.Stragglers
-	res.RequeuedTasks = agg.RequeuedTasks
-	res.WastedSeconds = agg.WastedSeconds
-	res.SpecLaunches = agg.SpecLaunches
-	res.SpecWins = agg.SpecWins
-	res.SpecCancels = agg.SpecCancels
-	res.SpecSaved = agg.SpecSaved
-	res.SpecWastedSeconds = agg.SpecWastedSeconds
+	res.ExecStats = agg
 	res.Evictions = st.Evictions
 	if inj != nil && opt.Spec.Active() {
 		ob.Metrics.Count("core.spec.launches", int64(res.SpecLaunches))
