@@ -77,11 +77,13 @@ func BenchmarkScale(b *testing.B) {
 // over the whole batch (unlimited disk, so every scheme plans all
 // tasks in one sub-batch), no executor. This is where the incremental
 // data structures show their edge over the reference full-rescan
-// arms: the naive JDP re-scans every cluster node per (task,file)
-// availability probe (~18x slower at the 10k tier), and naive MinMin
-// re-runs an O(T·C) argmin per committed task, which extrapolates to
-// hours at 100k. The MinMin arms both stop at 10k: the incremental
-// planner still pays an O(C) re-verify per invalidated heap entry.
+// planners, whose "-naive" arms live with their test code in
+// internal/sched/minmin and internal/sched/jdp: the naive JDP re-scans
+// every cluster node per (task,file) availability probe (~18x slower at
+// the 10k tier), and naive MinMin re-runs an O(T·C) argmin per
+// committed task, which extrapolates to hours at 100k. MinMin stops at
+// 10k: the incremental planner still pays an O(C) re-verify per
+// invalidated heap entry.
 func BenchmarkScalePlan(b *testing.B) {
 	schemes := []struct {
 		name     string
@@ -89,13 +91,7 @@ func BenchmarkScalePlan(b *testing.B) {
 		mk       func() core.Scheduler
 	}{
 		{"MinMin", 10_000, func() core.Scheduler { return minmin.New() }},
-		{"MinMin-naive", 10_000, func() core.Scheduler { return &minmin.Scheduler{Naive: true} }},
 		{"JobDataPresent", 100_000, func() core.Scheduler { return jdp.New() }},
-		{"JobDataPresent-naive", 10_000, func() core.Scheduler {
-			s := jdp.New()
-			s.Naive = true
-			return s
-		}},
 	}
 	for _, scheme := range schemes {
 		for _, tier := range scaleTiers {

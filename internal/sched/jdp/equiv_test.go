@@ -35,9 +35,7 @@ func TestJDPIndexedEquivalence(t *testing.T) {
 			b := workload.Random(tc.seed, 60, 45, 5, 2, 12*platform.MB, platform.PaperComputeFactor)
 			var outs [][]byte
 			var results []*core.Result
-			for _, naive := range []bool{true, false} {
-				s := New()
-				s.Naive = naive
+			for _, s := range []core.Scheduler{naive{New()}, New()} {
 				p := &core.Problem{Batch: b, Platform: platform.XIO(tc.compute, 2, tc.disk),
 					DisableReplication: tc.noRepl}
 				rec := journal.New()

@@ -13,7 +13,7 @@ import (
 // runArm executes one full pipeline (plan → execute → evict → repeat)
 // and returns the provenance journal bytes plus the result, the
 // byte-level fingerprint of every decision the scheduler made.
-func runArm(t *testing.T, s *Scheduler, compute int, disk int64, seed int64) ([]byte, *core.Result) {
+func runArm(t *testing.T, s core.Scheduler, compute int, disk int64, seed int64) ([]byte, *core.Result) {
 	t.Helper()
 	b := workload.Random(seed, 60, 45, 5, 2, 12*platform.MB, platform.PaperComputeFactor)
 	p := &core.Problem{Batch: b, Platform: platform.XIO(compute, 2, disk)}
@@ -50,7 +50,7 @@ func TestMinMinIncrementalEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			naiveJ, naiveR := runArm(t, &Scheduler{Naive: true}, tc.compute, tc.disk, tc.seed)
+			naiveJ, naiveR := runArm(t, naive{New()}, tc.compute, tc.disk, tc.seed)
 			incJ, incR := runArm(t, &Scheduler{}, tc.compute, tc.disk, tc.seed)
 			if !bytes.Equal(naiveJ, incJ) {
 				line := 0
@@ -80,9 +80,9 @@ func TestMinMinIncrementalEquivalenceNoReplication(t *testing.T) {
 	for _, disk := range []int64{0, 55 * platform.MB} {
 		p := &core.Problem{Batch: b, Platform: platform.XIO(4, 2, disk), DisableReplication: true}
 		var outs [][]byte
-		for _, naive := range []bool{true, false} {
+		for _, s := range []core.Scheduler{naive{New()}, New()} {
 			rec := journal.New()
-			if _, err := core.RunWith(p, &Scheduler{Naive: naive},
+			if _, err := core.RunWith(p, s,
 				core.RunOptions{Checked: true, Obs: core.Observer{Journal: rec}}); err != nil {
 				t.Fatal(err)
 			}

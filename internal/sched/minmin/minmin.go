@@ -16,14 +16,14 @@
 // (§4.3) frees space before the next round, exactly as the paper
 // integrates it with MinMin.
 //
-// Two implementations produce byte-identical plans (pinned by
-// TestMinMinIncrementalEquivalence): the reference O(T²·C) full-rescan
-// loop (Naive: true), and the default incremental one — a keyed
-// min-heap over per-task best completion times, updated eagerly for
-// tasks sharing a file with each placement (via an inverted file→task
-// index) and lazily, via per-node version counters and a lower-bound
-// "dirty" discount, for everything else. See DESIGN.md §14 for the
-// invariant argument.
+// Completion times come from core.Estimate, the §3 cost model shared
+// with JobDataPresent. The planner is incremental: a keyed min-heap
+// over per-task best completion times, updated eagerly for tasks
+// sharing a file with each placement (via an inverted file→task index)
+// and lazily, via per-node version counters and a lower-bound "dirty"
+// discount, for everything else. TestMinMinIncrementalEquivalence pins
+// its plans byte-identical to a reference O(T²·C) full-rescan loop kept
+// in the package's tests. See DESIGN.md §14 for the invariant argument.
 package minmin
 
 import (
@@ -37,14 +37,7 @@ import (
 )
 
 // Scheduler is the MinMin baseline. The zero value is ready to use.
-type Scheduler struct {
-	// Naive selects the reference full-rescan implementation: an
-	// O(T²·C) argmin loop over a fully maintained T×C matrix. It exists
-	// for the equivalence test and the bench-scale naive arm; the
-	// default incremental path plans the same bytes in roughly
-	// O((T log T + shares)·files).
-	Naive bool
-}
+type Scheduler struct{}
 
 // New returns a MinMin scheduler.
 func New() *Scheduler { return &Scheduler{} }
@@ -57,78 +50,24 @@ func (s *Scheduler) Evict(st *core.State, pending []batch.TaskID) {
 	eviction.Popularity(st, pending)
 }
 
-// mmState is the working copy of the cluster file state as one plan
-// unfolds. Both implementations share it — and in particular the ect
-// method — so their float arithmetic is operation-for-operation
-// identical.
+// mmState is the working cluster file state as one plan unfolds: the
+// shared cost model plus each node's ready time. The reference planner
+// in the tests shares it, and in particular the ect method, so their
+// float arithmetic is operation-for-operation identical.
 type mmState struct {
-	p         *core.Problem
-	b         *batch.Batch
-	C         int
-	holds     [][]bool
-	free      []int64
-	ready     []float64
-	anyCopy   []bool
-	bwRemote  []float64
-	bwReplica float64
+	*core.Estimate
+	ready []float64
 }
 
 func newMMState(st *core.State) *mmState {
-	p := st.P
-	b := p.Batch
-	C := p.Platform.NumCompute()
-	m := &mmState{
-		p: p, b: b, C: C,
-		holds:   st.PresentMatrix(),
-		free:    make([]int64, C),
-		ready:   make([]float64, C),
-		anyCopy: make([]bool, b.NumFiles()),
-	}
-	for i := 0; i < C; i++ {
-		m.free[i] = st.Free(i)
-	}
-	for f := 0; f < b.NumFiles(); f++ {
-		for i := 0; i < C; i++ {
-			if m.holds[i][f] {
-				m.anyCopy[f] = true
-				break
-			}
-		}
-	}
-	m.bwRemote = make([]float64, C)
-	for i := 0; i < C; i++ {
-		bw := math.Inf(1)
-		for sn := range p.Platform.Storage {
-			bw = math.Min(bw, p.Platform.RemoteBW(sn, i))
-		}
-		m.bwRemote[i] = bw
-	}
-	m.bwReplica = p.Platform.MinReplicaBW()
-	return m
+	return &mmState{Estimate: core.NewEstimate(st), ready: make([]float64, st.P.Platform.NumCompute())}
 }
 
 // ect estimates task k's completion on node i given current plan
 // state; extra reports the new bytes the node must hold.
 func (m *mmState) ect(k batch.TaskID, i int) (float64, int64) {
-	t := &m.b.Tasks[k]
-	stage := 0.0
-	var extra int64
-	var bytes int64
-	for _, f := range t.Files {
-		size := m.b.FileSize(f)
-		bytes += size
-		if m.holds[i][f] {
-			continue
-		}
-		extra += size
-		if m.anyCopy[f] && !m.p.DisableReplication {
-			stage += float64(size) / m.bwReplica
-		} else {
-			stage += float64(size) / m.bwRemote[i]
-		}
-	}
-	exec := float64(bytes)/m.p.Platform.Compute[i].LocalReadBW + t.Compute
-	return m.ready[i] + stage + exec, extra
+	_, done, extra := m.Cost(k, i, m.ready[i])
+	return done, extra
 }
 
 // place applies one placement to the working state exactly as the
@@ -147,124 +86,15 @@ func (m *mmState) place(st *core.State, plan *core.SubPlan, k batch.TaskID, best
 	}
 	// Stage the task's files (implicit replication) and occupy the
 	// node.
-	e, extra := m.ect(k, bestNode)
-	m.ready[bestNode] = e
-	m.free[bestNode] -= extra
-	for _, f := range m.b.Tasks[k].Files {
-		if !m.holds[bestNode][f] {
+	m.ready[bestNode], _ = m.ect(k, bestNode)
+	for _, f := range st.P.Batch.Tasks[k].Files {
+		if !m.Holds(bestNode, f) {
 			staged = append(staged, f)
-			first = append(first, !m.anyCopy[f])
-			m.holds[bestNode][f] = true
-			m.anyCopy[f] = true
+			first = append(first, m.FirstHolder(f) < 0)
+			m.Hold(bestNode, f)
 		}
 	}
 	return staged, first
-}
-
-// PlanSubBatch implements core.Scheduler.
-func (s *Scheduler) PlanSubBatch(st *core.State, pending []batch.TaskID) (*core.SubPlan, error) {
-	if s.Naive {
-		return s.planNaive(st, pending)
-	}
-	return s.planIncremental(st, pending)
-}
-
-// planNaive is the reference implementation: a full T×C matrix of
-// completion estimates, refreshed after every placement (the changed
-// node's column for everyone, full rows for tasks sharing a file that
-// just gained its first cluster copy), with an O(T·C) argmin per round.
-func (s *Scheduler) planNaive(st *core.State, pending []batch.TaskID) (*core.SubPlan, error) {
-	m := newMMState(st)
-	b, C := m.b, m.C
-
-	plan := &core.SubPlan{Node: make(map[batch.TaskID]int)}
-	unsched := append([]batch.TaskID(nil), pending...)
-
-	// mct[idx][i] caches the completion estimate of unsched[idx] on
-	// node i; only the column of the node that changed is refreshed
-	// after each assignment.
-	mct := make([][]float64, len(unsched))
-	fit := make([][]bool, len(unsched))
-	for idx, k := range unsched {
-		mct[idx] = make([]float64, C)
-		fit[idx] = make([]bool, C)
-		for i := 0; i < C; i++ {
-			e, extra := m.ect(k, i)
-			mct[idx][i] = e
-			fit[idx][i] = extra <= m.free[i]
-		}
-	}
-	done := make([]bool, len(unsched))
-	remaining := len(unsched)
-
-	for remaining > 0 {
-		bestIdx, bestNode := -1, -1
-		bestT := math.Inf(1)
-		for idx := range unsched {
-			if done[idx] {
-				continue
-			}
-			for i := 0; i < C; i++ {
-				if fit[idx][i] && mct[idx][i] < bestT {
-					bestT = mct[idx][i]
-					bestIdx, bestNode = idx, i
-				}
-			}
-		}
-		if bestIdx < 0 {
-			break // nothing fits: close the sub-batch
-		}
-		k := unsched[bestIdx]
-		done[bestIdx] = true
-		remaining--
-		var cands []journal.Candidate
-		if st.J.Enabled() {
-			cands = make([]journal.Candidate, C)
-			for i := 0; i < C; i++ {
-				cands[i] = journal.Candidate{Node: i, Score: mct[bestIdx][i], Fits: fit[bestIdx][i]}
-			}
-		}
-		staged, first := m.place(st, plan, k, bestNode, bestT, cands)
-		firstCopy := false
-		for _, fc := range first {
-			firstCopy = firstCopy || fc
-		}
-		// Refresh the changed node's column for everyone; tasks that
-		// share a file which just gained its first cluster copy see a
-		// cheaper replica path on every node, so refresh those rows
-		// fully.
-		for idx, kk := range unsched {
-			if done[idx] {
-				continue
-			}
-			full := false
-			if firstCopy {
-				for _, f := range b.Tasks[kk].Files {
-					for si, sf := range staged {
-						if first[si] && sf == f {
-							full = true
-						}
-					}
-					if full {
-						break
-					}
-				}
-			}
-			lo, hi := bestNode, bestNode
-			if full {
-				lo, hi = 0, C-1
-			}
-			for i := lo; i <= hi; i++ {
-				ee, ex := m.ect(kk, i)
-				mct[idx][i] = ee
-				fit[idx][i] = ex <= m.free[i]
-			}
-		}
-	}
-	if len(plan.Tasks) == 0 {
-		return nil, fmt.Errorf("minmin: no pending task fits any node (pending %d)", len(pending))
-	}
-	return plan, nil
 }
 
 // mmEntry is one task's cached best (completion, node) pair in the
@@ -350,14 +180,14 @@ func (h *mmHeap) popTop() {
 	}
 }
 
-// planIncremental is the default implementation. Invariants (see
-// DESIGN.md §14): every live entry's key is a lower bound on the
-// task's true minimum completion time, and a clean entry with a fresh
-// node version is exact, so popping the smallest clean-fresh key
-// reproduces the reference argmin decision for decision.
-func (s *Scheduler) planIncremental(st *core.State, pending []batch.TaskID) (*core.SubPlan, error) {
+// PlanSubBatch implements core.Scheduler. Invariants (see DESIGN.md
+// §14): every live entry's key is a lower bound on the task's true
+// minimum completion time, and a clean entry with a fresh node version
+// is exact, so popping the smallest clean-fresh key reproduces the
+// reference argmin decision for decision.
+func (s *Scheduler) PlanSubBatch(st *core.State, pending []batch.TaskID) (*core.SubPlan, error) {
 	m := newMMState(st)
-	b, C := m.b, m.C
+	b, C := st.P.Batch, st.P.Platform.NumCompute()
 
 	plan := &core.SubPlan{Node: make(map[batch.TaskID]int)}
 	unsched := append([]batch.TaskID(nil), pending...)
@@ -371,21 +201,10 @@ func (s *Scheduler) planIncremental(st *core.State, pending []batch.TaskID) (*co
 	}
 
 	// dropRate bounds, per newly replicable byte, how much any node's
-	// completion estimate can fall when a file's path switches from
-	// remote to replica (the anyCopy flip). Slightly inflated so the
-	// discounted key stays a lower bound despite summation rounding.
-	dropRate := 0.0
-	if !m.p.DisableReplication {
-		invRemoteMax := 0.0
-		for i := 0; i < C; i++ {
-			if inv := 1 / m.bwRemote[i]; inv > invRemoteMax {
-				invRemoteMax = inv
-			}
-		}
-		if d := invRemoteMax - 1/m.bwReplica; d > 0 {
-			dropRate = d * 1.000001
-		}
-	}
+	// completion estimate can fall when a file gains its first cluster
+	// copy. Slightly inflated so the discounted key stays a lower bound
+	// despite summation rounding.
+	dropRate := m.ReplicaGain() * 1.000001
 
 	h := &mmHeap{entries: make([]mmEntry, len(unsched)), order: make([]int32, len(unsched))}
 	nodeVer := make([]int32, C)
@@ -395,7 +214,7 @@ func (s *Scheduler) planIncremental(st *core.State, pending []batch.TaskID) (*co
 		e.key, e.node = math.Inf(1), -1
 		for i := 0; i < C; i++ {
 			v, extra := m.ect(k, i)
-			if extra <= m.free[i] && v < e.key {
+			if extra <= m.Free(i) && v < e.key {
 				e.key, e.node = v, int32(i)
 			}
 		}
@@ -440,7 +259,7 @@ func (s *Scheduler) planIncremental(st *core.State, pending []batch.TaskID) (*co
 			cands = make([]journal.Candidate, C)
 			for i := 0; i < C; i++ {
 				v, extra := m.ect(k, i)
-				cands[i] = journal.Candidate{Node: i, Score: v, Fits: extra <= m.free[i]}
+				cands[i] = journal.Candidate{Node: i, Score: v, Fits: extra <= m.Free(i)}
 			}
 		}
 		h.popTop()
@@ -469,7 +288,7 @@ func (s *Scheduler) planIncremental(st *core.State, pending []batch.TaskID) (*co
 					eagerStamp[oidx] = commitSeq
 					kk := unsched[oidx]
 					v, extra := m.ect(kk, bestNode)
-					if extra <= m.free[bestNode] &&
+					if extra <= m.Free(bestNode) &&
 						(v < oe.key || (v == oe.key && int32(bestNode) < oe.node) || oe.node < 0) {
 						oe.key, oe.node, oe.nver = v, int32(bestNode), nodeVer[bestNode]
 						h.fix(oidx)
@@ -479,7 +298,7 @@ func (s *Scheduler) planIncremental(st *core.State, pending []batch.TaskID) (*co
 					oe.key -= disc
 					oe.dirty = true
 					h.fix(oidx)
-				} else if first[si] && !m.p.DisableReplication {
+				} else if first[si] && !st.P.DisableReplication {
 					oe.dirty = true
 				}
 			}
