@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: all help build vet lint test race perfbench-test fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
+.PHONY: all help build vet fmt-check lint test race perfbench-test fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
 
 all: verify
 
 help:
 	@echo "Targets:"
-	@echo "  make verify        - full tier-1 gate: build, vet, lint, test, race, perfbench-test, fuzz-short, explain-check"
+	@echo "  make verify        - full tier-1 gate: build, vet, fmt-check, lint, test, race, perfbench-test, fuzz-short, explain-check"
 	@echo "  make build         - compile every package"
 	@echo "  make vet           - go vet"
+	@echo "  make fmt-check     - fail if gofmt would change any Go file"
 	@echo "  make lint          - run schedlint -strict (7 checks + suppression-hygiene audit)"
 	@echo "  make test          - unit tests"
 	@echo "  make race          - unit tests under the race detector"
@@ -29,6 +30,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the tree, the perfbench module's included, must be
+# gofmt-clean; the target lists the offenders and fails if there are any.
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 # schedlint (cmd/schedlint) statically enforces the determinism
 # contract: no map-order-dependent writes, no wall clock or global
@@ -93,7 +99,7 @@ explain-check:
 	$(GO) run ./cmd/schedexplain -journal journal_w1.jsonl
 	$(GO) run ./cmd/schedexplain -journal journal_w1.jsonl -critical > /dev/null
 
-verify: build vet lint test race perfbench-test fuzz-short explain-check
+verify: build vet fmt-check lint test race perfbench-test fuzz-short explain-check
 
 # One timed pipeline run per scheduling scheme, parsed into
 # BENCH_schedulers.json (per-scheme ns/op, allocs/op, simulated
@@ -109,11 +115,14 @@ bench:
 # The DESIGN §14 scaling sweep: task decades 100 -> 100k over the
 # IMAGE workload under MinMin and JobDataPresent — full-pipeline arms
 # (BenchmarkScale) and plan-only optimized-vs-naive arms
-# (BenchmarkScalePlan) — parsed into BENCH_scale.json. One iteration
-# per tier: the 100k JDP arm takes minutes and the naive 10k arms
-# tens of seconds, so -benchtime=1x is the point, not a shortcut.
+# (BenchmarkScalePlan; the naive arms live with the reference planners
+# in the minmin and jdp test packages) — parsed into BENCH_scale.json.
+# One iteration per tier: the 100k JDP arm takes minutes and the naive
+# 10k arms tens of seconds, so -benchtime=1x is the point, not a
+# shortcut.
 bench-scale:
 	$(GO) test -run='^$$' -bench='^BenchmarkScale(Plan)?$$' -benchmem -benchtime=1x -timeout=120m \
+		. ./internal/sched/minmin ./internal/sched/jdp \
 		| $(GO) run ./cmd/benchjson -o BENCH_scale.json
 
 bench-all:

@@ -2,6 +2,7 @@ package gantt
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -123,8 +124,8 @@ func TestTimelineSortedAfterRandomOps(t *testing.T) {
 // within overlapEps must behave exactly like exact abutment.
 func TestOverlayEpsBoundaries(t *testing.T) {
 	tl := NewTimeline()
-	tl.Reserve(0, 5, 1)   // [0,5)
-	tl.Reserve(10, 5, 1)  // [10,15)
+	tl.Reserve(0, 5, 1)  // [0,5)
+	tl.Reserve(10, 5, 1) // [10,15)
 	ov := NewOverlay(tl)
 
 	// Tentative interval eps-overlapping the committed [0,5): starts
@@ -213,4 +214,38 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// earliestSlot merge-scans two sorted interval lists for the first gap
+// of length dur starting at or after `after`. It is the flat reference
+// implementation the bucketed slotSearch must agree with byte-for-byte;
+// only the tests and the index benchmark call it, production paths go
+// through the index.
+func earliestSlot(a, b []Interval, after, dur float64) float64 {
+	if dur < 0 {
+		panic("gantt: negative duration")
+	}
+	t := after
+	i := sort.Search(len(a), func(i int) bool { return a[i].End > after })
+	j := sort.Search(len(b), func(j int) bool { return b[j].End > after })
+	for {
+		// next blocking interval: the earlier-starting of a[i], b[j]
+		var next *Interval
+		if i < len(a) && (j >= len(b) || a[i].Start <= b[j].Start) {
+			next = &a[i]
+		} else if j < len(b) {
+			next = &b[j]
+		}
+		if next == nil || t+dur <= next.Start+overlapEps {
+			return t
+		}
+		if next.End > t {
+			t = next.End
+		}
+		if i < len(a) && next == &a[i] {
+			i++
+		} else {
+			j++
+		}
+	}
 }
