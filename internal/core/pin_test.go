@@ -53,6 +53,7 @@ type pinnedRun struct {
 //     whose disk forces many sub-batches and evictions.
 //
 // IP is left out: its incumbents still depend on wall-clock budgets.
+// noJournalRuns adds a journal-free repeat of each.
 func pinnedRuns(t *testing.T) []pinnedRun {
 	t.Helper()
 	var runs []pinnedRun
@@ -150,14 +151,43 @@ func plannerRuns(t *testing.T) []pinnedRun {
 	return runs
 }
 
-// runDigests runs r with a journal and a sim-only tracer attached and
-// returns the sha256 of the journal JSONL, the Chrome trace and the
-// Result JSON (wall-clock SchedulingTime zeroed), in that order. The
-// Result is digested as sorted-key JSON with every number kept as
-// written, so the digest does not depend on Result's field order.
-func runDigests(t *testing.T, r pinnedRun) [3]string {
+// noJournalRuns returns a fresh copy of every pinned run (new
+// schedulers included) with "/nojournal" appended to its name,
+// followed by one 800-task IMAGE batch shaped like perfbench's
+// image-exec workload: JDP on XIO 16x4, unlimited disk. They run with
+// no journal attached, so they pin the executor's plain commit path,
+// the one the benchmark times, where the journaled runs take the
+// journaled one.
+func noJournalRuns(t *testing.T) []pinnedRun {
 	t.Helper()
-	rec := journal.New()
+	runs := pinnedRuns(t)
+	for i := range runs {
+		runs[i].name += "/nojournal"
+	}
+	b, err := workload.Image(workload.ImageConfig{NumTasks: 800, Overlap: workload.HighOverlap, NumStorage: 4, Seed: 1001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &core.Problem{Batch: b, Platform: platform.XIO(16, 4, 0)}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := jdp.New()
+	return append(runs, pinnedRun{"image-exec/" + s.Name() + "/nojournal", p, s, nil})
+}
+
+// runDigests runs r with a sim-only tracer and, when journaled, a
+// journal attached and returns the sha256 of the journal JSONL ("-"
+// without a journal), the Chrome trace and the Result JSON (wall-clock
+// SchedulingTime zeroed), in that order. The Result is digested as
+// sorted-key JSON with every number kept as written, so the digest
+// does not depend on Result's field order.
+func runDigests(t *testing.T, r pinnedRun, journaled bool) [3]string {
+	t.Helper()
+	var rec *journal.Recorder
+	if journaled {
+		rec = journal.New()
+	}
 	tr := obs.NewSimOnly()
 	res, err := core.RunWith(r.p, r.sched, core.RunOptions{Checked: true, Faults: r.fp,
 		Spec: &spec.Policy{Kind: spec.SingleFork, Quantile: 0.86}, Obs: core.Observer{Trace: tr, Journal: rec}})
@@ -165,18 +195,23 @@ func runDigests(t *testing.T, r pinnedRun) [3]string {
 		t.Fatalf("%s: %v", r.name, err)
 	}
 	var jb, tb bytes.Buffer
-	if err := rec.WriteJSONL(&jb); err != nil {
-		t.Fatal(err)
+	if rec != nil {
+		if err := rec.WriteJSONL(&jb); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := tr.WriteChrome(&tb); err != nil {
 		t.Fatal(err)
 	}
 	res.SchedulingTime = 0
 	rb := sortedJSON(t, res)
-	var out [3]string
-	for i, data := range [][]byte{jb.Bytes(), tb.Bytes(), rb} {
+	digest := func(data []byte) string {
 		sum := sha256.Sum256(data)
-		out[i] = hex.EncodeToString(sum[:])
+		return hex.EncodeToString(sum[:])
+	}
+	out := [3]string{"-", digest(tb.Bytes()), digest(rb)}
+	if rec != nil {
+		out[0] = digest(jb.Bytes())
 	}
 	return out
 }
@@ -205,11 +240,13 @@ func sortedJSON(t *testing.T, v any) []byte {
 // TestFaultSpecBytesPinned pins the journal, trace and Result bytes of
 // fault-injected, speculated runs to a committed digest table, so a
 // refactor of the recovery and speculation paths must reproduce them
-// exactly. Regenerate with: go test ./internal/core -run TestFaultSpecBytesPinned -update
+// exactly. The journal-free repeats pin the plain commit path too.
+// Regenerate with: go test ./internal/core -run TestFaultSpecBytesPinned -update
 func TestFaultSpecBytesPinned(t *testing.T) {
 	var got strings.Builder
-	for _, r := range pinnedRuns(t) {
-		d := runDigests(t, r)
+	runs := pinnedRuns(t)
+	for i, r := range append(runs, noJournalRuns(t)...) {
+		d := runDigests(t, r, i < len(runs))
 		fmt.Fprintf(&got, "%s journal=%s trace=%s result=%s\n", r.name, d[0], d[1], d[2])
 	}
 	path := filepath.Join("testdata", digestFile)
