@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/batch"
 	"repro/internal/core"
+	"repro/internal/obs/journal"
 	"repro/internal/platform"
 	"repro/internal/sched/bipart"
 	"repro/internal/sched/jdp"
@@ -159,5 +161,61 @@ func TestValidateRejectsTooSmallDisk(t *testing.T) {
 	p := &core.Problem{Batch: b, Platform: platform.Uniform(1, 1, 5*platform.MB, 10*platform.MB, 100*platform.MB)}
 	if err := p.Validate(); err == nil {
 		t.Fatal("expected validation error: node disk smaller than a task's working set")
+	}
+}
+
+// TestJournaledAlternativesDescribeStagedFile checks that every
+// on-demand staging's journaled source alternatives belong to the file
+// staged, not to another input probed in the same min-TCT round: the
+// winner under the executor's rule (the first entry, replaced only by
+// one more than 1e-12 faster) is the event's source, and the winner's
+// sub-batch-relative TCT is the event's End less the sub-batch start,
+// one offset for every staging of a round.
+func TestJournaledAlternativesDescribeStagedFile(t *testing.T) {
+	b, err := workload.Image(workload.ImageConfig{NumTasks: 800, Overlap: workload.HighOverlap, NumStorage: 4, Seed: 1001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, disk := range []int64{0, 300 * platform.MB} {
+		for _, s := range []core.Scheduler{jdp.New(), minmin.New()} {
+			p := &core.Problem{Batch: b, Platform: platform.XIO(16, 4, disk)}
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			rec := journal.New()
+			if _, err := core.RunWith(p, s, core.RunOptions{Obs: core.Observer{Journal: rec}}); err != nil {
+				t.Fatal(err)
+			}
+			base := map[int]float64{}
+			checked := 0
+			for _, ev := range rec.Events() {
+				st := ev.Stage
+				if st == nil || st.Cause != "task" || len(st.Alternatives) == 0 {
+					continue
+				}
+				win := st.Alternatives[0]
+				for _, a := range st.Alternatives[1:] {
+					if a.TCT < win.TCT-1e-12 {
+						win = a
+					}
+				}
+				if win.Src != st.Src {
+					t.Fatalf("%s disk=%d: file %d onto node %d staged from %d, but its alternatives pick %d: %+v",
+						s.Name(), disk, st.File, st.Dest, st.Src, win.Src, st.Alternatives)
+				}
+				off := st.End - win.TCT
+				if b0, ok := base[ev.Round]; !ok {
+					base[ev.Round] = off
+				} else if math.Abs(off-b0) > 1e-6 {
+					t.Fatalf("%s disk=%d round %d: file %d onto node %d ends at %g, its winning TCT %g puts the round start at %g, not %g",
+						s.Name(), disk, ev.Round, st.File, st.Dest, st.End, win.TCT, off, b0)
+				}
+				checked++
+			}
+			if checked == 0 {
+				t.Fatalf("%s disk=%d: no on-demand staging journaled alternatives", s.Name(), disk)
+			}
+			t.Logf("%s disk=%d: %d stagings checked", s.Name(), disk, checked)
+		}
 	}
 }
