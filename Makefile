@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet fmt-check lint test race perfbench-test fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
+.PHONY: all help build vet fmt-check lint test race perfbench-test fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile profile-exec figures clean
 
 all: verify
 
@@ -23,6 +23,7 @@ help:
 	@echo "  make bench-all     - all benchmarks, one iteration"
 	@echo "  make bench-parallel- workers=1 vs workers=N scaling benches"
 	@echo "  make profile       - CPU/heap profiles + Chrome trace of one run"
+	@echo "  make profile-exec  - CPU profile of an executor-bound run -> cpu-exec.pprof"
 	@echo "  make figures       - regenerate the paper figures (quick mode)"
 
 build:
@@ -139,6 +140,14 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof -trace runtime.trace \
 		-obs-trace obs_trace.json -obs-metrics obs_metrics.json
 	@echo "wrote cpu.pprof mem.pprof runtime.trace obs_trace.json obs_metrics.json"
+
+# CPU profile of a run the §6 executor dominates: 4000 IMAGE tasks
+# under JDP's cheap planner on 16 compute nodes, about 6 s. The run
+# above barely reaches the executor.
+profile-exec:
+	$(GO) run ./cmd/batchsched -app image -tasks 4000 -sched jdp -compute 16 -storage 4 \
+		-cpuprofile cpu-exec.pprof
+	@echo "wrote cpu-exec.pprof"
 
 figures:
 	$(GO) run ./cmd/paperfigs -quick
