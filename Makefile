@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: all help build vet fmt-check lint test race perfbench-test fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile profile-exec figures clean
+.PHONY: all help build vet fmt-check lint test race cpu-check perfbench-test fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile profile-exec figures clean
 
 all: verify
 
 help:
 	@echo "Targets:"
-	@echo "  make verify        - full tier-1 gate: build, vet, fmt-check, lint, test, race, perfbench-test, fuzz-short, explain-check"
+	@echo "  make verify        - full tier-1 gate: build, vet, fmt-check, lint, test, race, cpu-check, perfbench-test, fuzz-short, explain-check"
 	@echo "  make build         - compile every package"
 	@echo "  make vet           - go vet"
 	@echo "  make fmt-check     - fail if gofmt would change any Go file"
 	@echo "  make lint          - run schedlint -strict (7 checks + suppression-hygiene audit)"
 	@echo "  make test          - unit tests"
 	@echo "  make race          - unit tests under the race detector"
+	@echo "  make cpu-check     - byte pins at GOMAXPROCS 1, 2 and 4 (executor helper on/off)"
 	@echo "  make perfbench-test- the benchmark module's tests (perfbench/)"
 	@echo "  make fuzz-short    - one short iteration of each fuzz target"
 	@echo "  make chaos         - fault-injection suite under -race + the chaos matrix"
@@ -54,6 +55,12 @@ test:
 # repository's tier-1 verification, not an optional extra.
 race:
 	$(GO) test -race ./...
+
+# The §6 executor evaluates on a second core when GOMAXPROCS >= 2, so
+# the byte pins run at 1, 2 and 4 procs: the digest table and the
+# observed-vs-plain run must not depend on the core count.
+cpu-check:
+	$(GO) test -count=1 -run 'TestFaultSpecBytesPinned|TestObservedRunIdenticalToPlain' -cpu 1,2,4 . ./internal/core
 
 # perfbench is its own Go module, so `go test ./...` above never enters
 # it. Its tests pin the benchmark's traced loop, built on ExecuteSpec,
@@ -100,7 +107,7 @@ explain-check:
 	$(GO) run ./cmd/schedexplain -journal journal_w1.jsonl
 	$(GO) run ./cmd/schedexplain -journal journal_w1.jsonl -critical > /dev/null
 
-verify: build vet fmt-check lint test race perfbench-test fuzz-short explain-check
+verify: build vet fmt-check lint test race cpu-check perfbench-test fuzz-short explain-check
 
 # One timed pipeline run per scheduling scheme, parsed into
 # BENCH_schedulers.json (per-scheme ns/op, allocs/op, simulated

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/batch"
 	"repro/internal/faults"
@@ -117,16 +119,26 @@ func (s *ExecStats) Add(o *ExecStats) {
 // (tag-3 burns for its occupied port time, in-flight stagings rolled
 // back through State). A nil inj or an inactive pol takes the exact
 // fault-free or non-speculative code paths.
+//
+// The commit loop evaluates on a second core when GOMAXPROCS ≥ 2 (see
+// run); its output is identical at any worker count.
 func ExecuteSpec(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faults.Injector, round int, pol *spec.Policy) (*ExecStats, *gantt.Schedule, []batch.TaskID, error) {
+	stats, sched, requeued, _, err := execute(st, plan, traced, tr, inj, round, pol)
+	return stats, sched, requeued, err
+}
+
+// execute is ExecuteSpec that also returns the commit loop's
+// evaluation counters.
+func execute(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faults.Injector, round int, pol *spec.Policy) (*ExecStats, *gantt.Schedule, []batch.TaskID, execCounters, error) {
 	e, err := newExecutor(st, plan, traced, tr, inj, round, pol)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, execCounters{}, err
 	}
 	stats, err := e.run()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, execCounters{}, err
 	}
-	return stats, e.trace, e.requeued, nil
+	return stats, e.trace, e.requeued, e.ctr, nil
 }
 
 // transfer tags recorded in Gantt intervals, for debugging and tests.
@@ -180,15 +192,12 @@ type executor struct {
 	// keeps the lists sorted by construction.
 	holders [][]int32
 
-	// tentEnv is the reusable tentative scheduling environment for ECT
-	// probes: its overlays, scratch tables and visiting set are cleared
-	// between uses instead of reallocated (the probe loop runs millions
-	// of times at scale).
-	tentEnv *schedEnv
-	// remainingBuf backs stageInputs's missing-file worklist across
-	// calls. A twin is planned only after its primary's inputs are
-	// staged, so the two never hold it at once.
+	// remainingBuf backs the commit envs' missing-file worklist across
+	// calls; commits run one at a time, and every tentative env has a
+	// buffer of its own.
 	remainingBuf []batch.FileID
+	// ctr counts the commit loop's ECT evaluations.
+	ctr execCounters
 
 	planned map[stageKey]Staging
 
@@ -347,6 +356,11 @@ type schedEnv struct {
 	// visiting marks the (file, node) stagings on ensureFile's stack
 	// (pinned plans only), so a replication cycle is caught.
 	visiting map[stageKey]bool
+	// remaining backs stageInputs's missing-file worklist: the
+	// executor's remainingBuf in a commit env, the env's own buffer in a
+	// tentative one, so tentative envs share no scratch and any number
+	// of them can probe one executor at once.
+	remaining *[]batch.FileID
 	// alts holds the source alternatives bestSource evaluated for the
 	// transfer about to commit (journaled commit mode only); the
 	// commit consumes and clears it. stageInputs parks the alternatives
@@ -370,7 +384,7 @@ type schedEnv struct {
 }
 
 func newSchedEnv(e *executor, commit bool) *schedEnv {
-	v := &schedEnv{e: e, commit: commit}
+	v := &schedEnv{e: e, commit: commit, remaining: &e.remainingBuf}
 	if e.plan.Pinned {
 		v.visiting = make(map[stageKey]bool)
 	}
@@ -378,21 +392,16 @@ func newSchedEnv(e *executor, commit bool) *schedEnv {
 		v.overlays = make([]*gantt.Overlay, len(e.ports))
 		v.scratch = make(map[stageKey]float64)
 		v.scratchByFile = make(map[batch.FileID][]int32)
+		v.remaining = new([]batch.FileID)
 	}
 	return v
 }
 
-// tentativeEnv returns the executor's cached probe environment,
-// cleared for a fresh tentative scheduling pass. Only the overlays
-// that were actually dirtied and the scratch entries that were added
-// get reset, so back-to-back probes cost no allocation.
-func (e *executor) tentativeEnv() *schedEnv {
-	v := e.tentEnv
-	if v == nil {
-		v = newSchedEnv(e, false)
-		e.tentEnv = v
-		return v
-	}
+// cleared resets a tentative env for a fresh scheduling pass and
+// returns it. Only the overlays that were actually dirtied and the
+// scratch entries that were added get reset, so back-to-back probes
+// cost no allocation.
+func (v *schedEnv) cleared() *schedEnv {
 	for _, ov := range v.dirty {
 		ov.Clear()
 	}
@@ -873,7 +882,7 @@ func (e *executor) base() float64 { return e.st.Clock }
 // choice each round books the slot its winning probe found.
 func (v *schedEnv) stageInputs(task *batch.Task, c int) (float64, error) {
 	e := v.e
-	remaining := e.remainingBuf[:0]
+	remaining := (*v.remaining)[:0]
 	arrival := 0.0
 	for _, f := range task.Files {
 		if at, ok := v.availOn(c, f); ok {
@@ -925,14 +934,14 @@ func (v *schedEnv) stageInputs(task *batch.Task, c int) (float64, error) {
 			at, err = v.book(f, src, c, start, dur)
 		}
 		if err != nil {
-			e.remainingBuf = remaining[:0]
+			*v.remaining = remaining[:0]
 			return 0, err
 		}
 		if at > arrival {
 			arrival = at
 		}
 	}
-	e.remainingBuf = remaining[:0]
+	*v.remaining = remaining[:0]
 	return arrival, nil
 }
 
@@ -946,17 +955,27 @@ func (e *executor) execBase(task *batch.Task, c int) float64 {
 	return float64(bytes)/e.st.P.Platform.Compute[c].LocalReadBW + task.Compute
 }
 
-// scheduleTask stages task t's missing files (greedy min-TCT order,
-// per §6) and then places its execution; it returns the task's
-// completion time. With commit=false everything happens on overlays.
-func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
-	var v *schedEnv
-	if commit {
-		v = newSchedEnv(e, true)
-		e.curTask = int(t)
-	} else {
-		v = e.tentativeEnv()
-	}
+// commitTask schedules task t for real on a fresh commit env and
+// returns its completion time.
+func (e *executor) commitTask(t batch.TaskID) (float64, error) {
+	e.curTask = int(t)
+	return e.scheduleIn(newSchedEnv(e, true), t)
+}
+
+// probe returns task t's tentative earliest completion time, evaluated
+// on the tentative env v after clearing it. It writes only v, so
+// between two commits it is a pure function of the committed state.
+// Tentative scheduling cannot fail: the fault paths are commit-only.
+func (e *executor) probe(v *schedEnv, t batch.TaskID) float64 {
+	ect, _ := e.scheduleIn(v.cleared(), t)
+	return ect
+}
+
+// scheduleIn stages task t's missing files on env v (greedy min-TCT
+// order, per §6) and then places its execution; it returns the task's
+// completion time. In a tentative env everything happens on overlays.
+func (e *executor) scheduleIn(v *schedEnv, t batch.TaskID) (float64, error) {
+	commit := v.commit
 	c := e.plan.Node[t]
 	task := &e.st.P.Batch.Tasks[t]
 	arrival, err := v.stageInputs(task, c)
@@ -1452,6 +1471,253 @@ func (h *ectHeap) Pop() interface{} {
 	return x
 }
 
+// execCounters counts the commit loop's ECT evaluations. evals is the
+// same at any worker count. Which probes go to the helper depends only
+// on heap state, so prefetched and wasted are fixed for a fixed worker
+// count too, except that a request the helper has not claimed by the
+// time the loop needs it is withdrawn (see helperReady): on a busy
+// machine they can come out lower.
+type execCounters struct {
+	// evals counts the ECT values the loop consumed: one per plan task
+	// in the initial pass plus one per stale pop.
+	evals int
+	// prefetched counts the stale-pop evaluations taken from the
+	// helper instead of probed by the loop.
+	prefetched int
+	// wasted counts helper results dropped unconsumed at a commit.
+	wasted int
+}
+
+// add folds o into c.
+func (c *execCounters) add(o execCounters) {
+	c.evals += o.evals
+	c.prefetched += o.prefetched
+	c.wasted += o.wasted
+}
+
+// Handshake states of the helper worker. The loop posts a request
+// (helperProbe, helperSweep or helperQuit) into a helperReady helper.
+// The helper claims a probe or sweep by moving it to helperRunning and
+// stores helperReady once it has answered. Until the helper claims a
+// request the loop may withdraw it, by moving it back to helperReady,
+// and do the work itself; so a helper that gets no core never stalls
+// the loop.
+const (
+	helperReady int32 = iota
+	helperProbe
+	helperSweep
+	helperRunning
+	helperQuit
+)
+
+// A worker polling the handshake yields its core every yieldEvery
+// polls, so under nested fan-out (more runnable goroutines than cores)
+// a waiting worker lets the one it waits for run, and the idle helper
+// parks after parkAfter polls. From the third probe in a row the loop
+// has to withdraw, each one doubles the number of hand-off chances the
+// loop then lets pass, up to maxSkip, and an answered probe resets
+// that: where the helper gets no core of its own (GOMAXPROCS above the
+// CPUs the process really has), it soon stays parked instead of
+// competing with the loop for one.
+const (
+	yieldEvery = 1 << 8
+	parkAfter  = 1 << 17
+	maxSkip    = 1 << 8
+)
+
+// helper is the commit loop's second worker (see run): it probes on a
+// tentative env of its own, one request at a time. A nil *helper is
+// the single-worker loop; it holds nothing and takes no request.
+type helper struct {
+	e      *executor
+	env    *schedEnv
+	state  atomic.Int32
+	parked atomic.Bool
+	wake   chan struct{}
+	// done is closed when the helper goroutine exits.
+	done chan struct{}
+	// Loop side only: busy says a request is outstanding, late counts
+	// the probes withdrawn in a row, and skip the hand-off chances
+	// still to let pass, backoff the number to let pass next time.
+	busy                bool
+	late, backoff, skip int
+	// task is the requested probe, ect its result once answered.
+	task batch.TaskID
+	ect  float64
+	// sweep is the initial pass a helperSweep request shares.
+	sweep *ectSweep
+}
+
+// startHelper starts the helper worker when a second core is available
+// (GOMAXPROCS ≥ 2) and returns nil otherwise.
+func (e *executor) startHelper() *helper {
+	if runtime.GOMAXPROCS(0) < 2 {
+		return nil
+	}
+	w := &helper{e: e, env: newSchedEnv(e, false), wake: make(chan struct{}, 1), done: make(chan struct{})}
+	go w.loop()
+	return w
+}
+
+func (w *helper) loop() {
+	defer close(w.done)
+	for late := false; ; {
+		s := w.await(late)
+		if s == helperQuit {
+			return
+		}
+		// A withdrawn request means this goroutine got no core in
+		// time; park at once rather than spin against the loop.
+		if late = !w.state.CompareAndSwap(s, helperRunning); late {
+			continue
+		}
+		if s == helperProbe {
+			w.ect = w.e.probe(w.env, w.task)
+		} else {
+			w.e.runSweep(w.env, w.sweep)
+		}
+		w.state.Store(helperReady)
+	}
+}
+
+// await polls for the loop's next request and parks after parkAfter
+// polls, or at once if late. Parking announces itself before its last
+// poll, and post stores the request before it checks for a parked
+// helper, so a request is never missed; a surplus wake-up only costs a
+// re-poll.
+func (w *helper) await(late bool) int32 {
+	spins := 0
+	if late {
+		spins = parkAfter
+	}
+	for ; ; spins++ {
+		if s := w.state.Load(); s != helperReady {
+			return s
+		}
+		if spins < parkAfter {
+			if spins%yieldEvery == yieldEvery-1 {
+				runtime.Gosched()
+			}
+			continue
+		}
+		w.parked.Store(true)
+		if s := w.state.Load(); s != helperReady {
+			w.parked.Store(false)
+			return s
+		}
+		<-w.wake
+		w.parked.Store(false)
+		spins = 0
+	}
+}
+
+// post hands the idle helper request s.
+func (w *helper) post(s int32) {
+	w.busy = true
+	w.state.Store(s)
+	if w.parked.Load() {
+		select {
+		case w.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// settle ends the outstanding request. It withdraws a request the
+// helper has not claimed and reports false, or waits until the
+// claimed one is answered and reports true.
+func (w *helper) settle() bool {
+	w.busy = false
+	for spins := 1; ; spins++ {
+		switch s := w.state.Load(); {
+		case s == helperReady:
+			return true
+		case s != helperRunning && w.state.CompareAndSwap(s, helperReady):
+			return false
+		}
+		if spins%yieldEvery == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// offer asks the helper, if it runs, is idle and is not backing off,
+// to probe task t.
+func (w *helper) offer(t batch.TaskID) {
+	if w == nil || w.busy {
+		return
+	}
+	if w.skip > 0 {
+		w.skip--
+		return
+	}
+	w.task = t
+	w.post(helperProbe)
+}
+
+// holds reports whether the outstanding request is a probe of task t.
+func (w *helper) holds(t batch.TaskID) bool { return w != nil && w.busy && w.task == t }
+
+// take settles the outstanding probe and returns its ECT; ok is false
+// when it was withdrawn unanswered.
+func (w *helper) take() (ect float64, ok bool) {
+	if ok = w.settle(); ok {
+		w.late, w.backoff = 0, 0
+	} else if w.late++; w.late > 2 {
+		w.backoff = min(2*w.backoff+1, maxSkip)
+		w.skip = w.backoff
+	}
+	return w.ect, ok
+}
+
+// drop settles any outstanding request and discards its answer, so the
+// committed state may change; it reports whether the helper had
+// evaluated one.
+func (w *helper) drop() bool {
+	return w != nil && w.busy && w.settle()
+}
+
+// stop ends the helper goroutine and waits until it has exited.
+func (w *helper) stop() {
+	if w == nil {
+		return
+	}
+	w.drop()
+	w.post(helperQuit)
+	<-w.done
+}
+
+// ectSweep is the initial ECT pass over plan.Tasks, shared by both
+// workers: each claims the next unclaimed index and fills its slot.
+type ectSweep struct {
+	next atomic.Int64
+	ects []float64
+}
+
+// runSweep probes the sweep's unclaimed tasks on env v until none is
+// left.
+func (e *executor) runSweep(v *schedEnv, s *ectSweep) {
+	for i := int(s.next.Add(1) - 1); i < len(s.ects); i = int(s.next.Add(1) - 1) {
+		s.ects[i] = e.probe(v, e.plan.Tasks[i])
+	}
+}
+
+// initialECTs returns every plan task's first ECT in plan.Tasks order,
+// probing on env v and, when it runs, the helper at once. Each value
+// is a probe of the same committed state, so the heap built from them
+// is the sequential one.
+func (e *executor) initialECTs(w *helper, v *schedEnv) []float64 {
+	s := &ectSweep{ects: make([]float64, len(e.plan.Tasks))}
+	if w != nil {
+		w.sweep = s
+		w.post(helperSweep)
+	}
+	e.runSweep(v, s)
+	w.drop()
+	e.ctr.evals += len(s.ects)
+	return s.ects
+}
+
 func (e *executor) run() (*ExecStats, error) {
 	// Global earliest-completion-time ordering with lazy re-evaluation:
 	// cached ECTs go stale only when a commit changes the Gantt state,
@@ -1488,31 +1754,61 @@ func (e *executor) run() (*ExecStats, error) {
 	// cost near O(T·files) instead of O(T²·files) on large
 	// sub-batches, while preserving the §6 earliest-completion-time
 	// discipline.
+	//
+	// Between two commits the committed state (port timelines, avail,
+	// holders) is fixed and a probe writes only its own env, so a probe
+	// is a pure function of that state. With a second core the helper
+	// worker exploits this: whenever the loop pops a stale entry and
+	// evaluates it, the helper evaluates the new heap top (if stale)
+	// alongside. A pushed-back entry goes in above that top, so the
+	// next pop is usually the handed-off task, and it takes the
+	// helper's ECT instead of probing again. Every commit
+	// first waits for the helper and drops an unconsumed result, so
+	// the helper never reads state being mutated and no ECT crosses a
+	// commit: each value the loop consumes is the one a sequential
+	// probe would compute, and the schedule is identical at any
+	// worker count.
+	//
+	// probeEnv is the loop's reusable tentative env: its overlays,
+	// scratch tables and visiting set are cleared between probes
+	// instead of reallocated (the probe loop runs millions of times at
+	// scale). The helper owns another.
+	w := e.startHelper()
+	defer w.stop()
+	probeEnv := newSchedEnv(e, false)
 	h := &ectHeap{}
 	nodeVer := make([]int, len(e.computeTL))
-	for _, t := range e.plan.Tasks {
-		ect, err := e.scheduleTask(t, false)
-		if err != nil {
-			return nil, err
-		}
-		heap.Push(h, ectEntry{task: t, ect: ect, ver: 0})
+	for i, ect := range e.initialECTs(w, probeEnv) {
+		heap.Push(h, ectEntry{task: e.plan.Tasks[i], ect: ect, ver: 0})
 	}
+	stale := func(x ectEntry) bool { return x.ver != nodeVer[e.plan.Node[x.task]] }
 	const commitSlack = 1.01
 	for h.Len() > 0 {
 		top := heap.Pop(h).(ectEntry)
 		node := e.plan.Node[top.task]
-		if top.ver != nodeVer[node] {
-			ect, err := e.scheduleTask(top.task, false)
-			if err != nil {
-				return nil, err
+		if stale(top) {
+			ect, ok := 0.0, false
+			if w.holds(top.task) {
+				if ect, ok = w.take(); ok {
+					e.ctr.prefetched++
+				}
+			} else if h.Len() > 0 && stale((*h)[0]) {
+				w.offer((*h)[0].task)
 			}
+			if !ok {
+				ect = e.probe(probeEnv, top.task)
+			}
+			e.ctr.evals++
 			if h.Len() > 0 && ect > (*h)[0].ect*commitSlack+1e-12 {
 				heap.Push(h, ectEntry{task: top.task, ect: ect, ver: nodeVer[node]})
 				continue
 			}
 		}
+		if w.drop() {
+			e.ctr.wasted++
+		}
 		e.drainLeft = h.Len()
-		if _, err := e.scheduleTask(top.task, true); err != nil {
+		if _, err := e.commitTask(top.task); err != nil {
 			var fa *faultAbort
 			if errors.As(err, &fa) {
 				// Injected fault killed the commit: the task stays

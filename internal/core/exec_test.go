@@ -19,9 +19,9 @@ func twoNodeProblem(t *testing.T, b *batch.Batch) *Problem {
 	return p
 }
 
-// execute runs one sub-batch through ExecuteSpec fault-free, untraced
+// executePlain runs one sub-batch through ExecuteSpec fault-free, untraced
 // and unobserved.
-func execute(st *State, plan *SubPlan) (*ExecStats, error) {
+func executePlain(st *State, plan *SubPlan) (*ExecStats, error) {
 	stats, _, _, err := ExecuteSpec(st, plan, false, nil, nil, 0, nil)
 	return stats, err
 }
@@ -36,7 +36,7 @@ func TestExecuteSingleTaskTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}
-	stats, err := execute(st, plan)
+	stats, err := executePlain(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestExecutePrefersReplicaSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}
-	stats, err := execute(st, plan)
+	stats, err := executePlain(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestExecutePinnedPlanFollowsSources(t *testing.T) {
 			{File: f, Dest: 0, Kind: Replica, Src: 1},
 		},
 	}
-	stats, err := execute(st, plan)
+	stats, err := executePlain(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestExecutePinnedCycleFallsBack(t *testing.T) {
 			{File: f, Dest: 1, Kind: Replica, Src: 0},
 		},
 	}
-	stats, err := execute(st, plan)
+	stats, err := executePlain(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestExecuteDiskCapacityViolationSurfaces(t *testing.T) {
 	}
 	// A buggy plan placing both tasks (120 MB) on the 100 MB node.
 	plan := &SubPlan{Tasks: []batch.TaskID{t0, t1}, Node: map[batch.TaskID]int{t0: 0, t1: 0}}
-	if _, err := execute(st, plan); err == nil {
+	if _, err := executePlain(st, plan); err == nil {
 		t.Fatal("capacity violation not reported")
 	}
 }
@@ -187,7 +187,7 @@ func TestExecuteSharedFileTransferredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := execute(st, &SubPlan{Tasks: ts, Node: node})
+	stats, err := executePlain(st, &SubPlan{Tasks: ts, Node: node})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestExecuteNoStagingDuringExecutionOnNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := execute(st, &SubPlan{Tasks: []batch.TaskID{t0, t1}, Node: map[batch.TaskID]int{t0: 0, t1: 0}})
+	stats, err := executePlain(st, &SubPlan{Tasks: []batch.TaskID{t0, t1}, Node: map[batch.TaskID]int{t0: 0, t1: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -164,6 +165,14 @@ func noJournalRuns(t *testing.T) []pinnedRun {
 	for i := range runs {
 		runs[i].name += "/nojournal"
 	}
+	s := jdp.New()
+	return append(runs, pinnedRun{"image-exec/" + s.Name() + "/nojournal", imageExecProblem(t), s, nil})
+}
+
+// imageExecProblem is the 800-task IMAGE batch shaped like perfbench's
+// image-exec workload: XIO 16x4, unlimited disk.
+func imageExecProblem(t *testing.T) *core.Problem {
+	t.Helper()
 	b, err := workload.Image(workload.ImageConfig{NumTasks: 800, Overlap: workload.HighOverlap, NumStorage: 4, Seed: 1001})
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +181,39 @@ func noJournalRuns(t *testing.T) []pinnedRun {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s := jdp.New()
-	return append(runs, pinnedRun{"image-exec/" + s.Name() + "/nojournal", p, s, nil})
+	return p
+}
+
+// TestExecHelperEngages checks that the executor's helper worker
+// actually serves ECT evaluations when a second core is available, so
+// the byte pins at -cpu 2 and 4 cannot pass merely because the helper
+// never ran. At GOMAXPROCS 1 no helper runs; at 2 it serves some of
+// the evaluations, and the loop consumes the same number either way.
+// A host with one CPU gives the helper no core of its own, so there it
+// rightly backs off and only the other two checks apply.
+func TestExecHelperEngages(t *testing.T) {
+	p := imageExecProblem(t)
+	counters := func(procs int) map[string]int64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m := obs.NewMetrics()
+		if _, err := core.RunWith(p, jdp.New(), core.RunOptions{Obs: core.Observer{Metrics: m}}); err != nil {
+			t.Fatal(err)
+		}
+		return m.Snapshot().Counters
+	}
+	one, two := counters(1), counters(2)
+	if got := one["core.exec.evals_prefetched"]; got != 0 {
+		t.Errorf("GOMAXPROCS 1: %d evaluations prefetched, want 0", got)
+	}
+	if got := two["core.exec.evals_prefetched"]; got <= 0 && runtime.NumCPU() >= 2 {
+		t.Errorf("GOMAXPROCS 2: %d evaluations prefetched, want > 0", got)
+	}
+	if one["core.exec.evals"] != two["core.exec.evals"] || one["core.exec.evals"] == 0 {
+		t.Errorf("evaluations consumed: %d at GOMAXPROCS 1, %d at 2; want equal and nonzero",
+			one["core.exec.evals"], two["core.exec.evals"])
+	}
+	t.Logf("evals %d, prefetched %d, wasted %d at GOMAXPROCS 2",
+		two["core.exec.evals"], two["core.exec.evals_prefetched"], two["core.exec.evals_wasted"])
 }
 
 // runDigests runs r with a sim-only tracer and, when journaled, a

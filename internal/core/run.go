@@ -170,6 +170,7 @@ func RunFromWith(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions)
 		budget = inj.TaskRetryBudget()
 	}
 	var agg ExecStats
+	var evals execCounters
 	for len(pending) > 0 {
 		st.JRound = res.SubBatches
 		endPlan := tr.Span(obs.TrackSched, "phase", "plan",
@@ -200,7 +201,10 @@ func RunFromWith(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions)
 		clockBefore := st.Clock
 		endExec := tr.Span(obs.TrackSched, "phase", "execute",
 			obs.A("tasks", len(plan.Tasks)))
-		stats, sched, requeued, err := ExecuteSpec(st, plan, checked, tr, inj, res.SubBatches, opt.Spec)
+		t0 = time.Now() //schedlint:allow nowallclock,tracepurity overhead metric only
+		stats, sched, requeued, ctr, err := execute(st, plan, checked, tr, inj, res.SubBatches, opt.Spec)
+		ob.Metrics.Observe("core.exec_ms", time.Since(t0).Seconds()*1000) //schedlint:allow nowallclock,tracepurity overhead metric only
+		evals.add(ctr)
 		if err == nil && checked {
 			err = sched.Err()
 		}
@@ -279,6 +283,11 @@ func RunFromWith(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions)
 		ob.Metrics.Count("core.fault.degraded_tasks", int64(res.DegradedTasks))
 		ob.Metrics.SetGauge("core.fault.wasted_s", res.WastedSeconds)
 	}
+	// The executor's evaluation counters stay out of Result: they
+	// describe the cost of the run, not its outcome.
+	ob.Metrics.Count("core.exec.evals", int64(evals.evals))
+	ob.Metrics.Count("core.exec.evals_prefetched", int64(evals.prefetched))
+	ob.Metrics.Count("core.exec.evals_wasted", int64(evals.wasted))
 	ob.Metrics.Count("core.tasks", int64(res.TaskCount))
 	ob.Metrics.Count("core.sub_batches", int64(res.SubBatches))
 	ob.Metrics.Count("core.remote_transfers", int64(res.RemoteTransfers))

@@ -118,12 +118,3 @@ func evictTo(st *core.State, pending []batch.TaskID, keep float64, policy string
 		}
 	}
 }
-
-// EvictAll clears every compute-node cache (used by ablation benches).
-func EvictAll(st *core.State) {
-	for n := 0; n < st.P.Platform.NumCompute(); n++ {
-		for f := 0; f < st.P.Batch.NumFiles(); f++ {
-			st.Evict(n, batch.FileID(f))
-		}
-	}
-}

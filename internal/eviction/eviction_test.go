@@ -112,17 +112,3 @@ func TestUnlimitedDisksUntouched(t *testing.T) {
 		t.Fatal("eviction ran on an unlimited disk")
 	}
 }
-
-func TestEvictAll(t *testing.T) {
-	st, _ := setup(t)
-	if err := st.AddFile(0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AddFile(1, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	EvictAll(st)
-	if st.Used(0) != 0 || st.Used(1) != 0 {
-		t.Fatal("EvictAll left data behind")
-	}
-}
